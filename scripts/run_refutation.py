@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Produce the full angle-substitution analysis report as JSON.
 
-Scans the angle box for points where all four stationarity functions vanish,
-refines them, and records the termwise ("flawed") maximum, the true maximum,
-the hyperplane obstruction, and the rewrite-identity deviation.
+Enumerates the points of the angle box where all four stationarity functions
+vanish, and records the termwise ("flawed") maximum, the true maximum, the
+hyperplane obstruction, and the rewrite-identity deviation.
 
 Usage:
     python scripts/run_refutation.py [--resolution 181] [--eps 1e-8] [--out refutation_report.json]
+
+--resolution is the number of t3 grid points for the true maximum; --eps is
+the max|J| below which an enumerated point is reported.
 """
 import argparse
 import json

@@ -201,9 +201,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute", parents=[common],
                        help="angle-substitution stationarity analysis report")
     p.add_argument("--resolution", type=int, default=181,
-                   help="grid points per angle (default 181)")
+                   help="t3 grid points for the true maximum (default 181)")
     p.add_argument("--eps", type=float, default=1e-8,
-                   help="threshold on max|J| for reported solutions (default 1e-8)")
+                   help="report an all-zero-J point only if its max|J| is below this "
+                        "(default 1e-8)")
     p.add_argument("--identity-samples", type=int, default=10**5,
                    help="random triples for the rewrite identity check (default 1e5)")
     p.set_defaults(handler=_cmd_refute)

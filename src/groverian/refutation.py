@@ -24,9 +24,14 @@ nonzero J, while the all-zero points that do exist in the box all have
 P = 1/4.  Maximizing each bracket term independently would give P = 1, but
 every term-maximizing angle assignment violates the hyperplane relation by an
 odd multiple of pi and therefore corresponds to no (t1, t2, t3) at all.
+
+Both sides are computed exactly: the all-zero points are enumerated from the
+closed-form zero sets of the J functions, and the true maximum reduces to a
+one-angle maximum of a top singular value (see :func:`constraint5_search`).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,16 +39,10 @@ import numpy as np
 
 from .states import RealAngles
 
-SQRT2 = math.sqrt(2.0)
 HYPERPLANE_TOL = 1e-12
 
 _HALF_PI = math.pi / 2.0
-_REFINE_ITERATIONS = 200
-_REFINE_SHRINK = 0.5
-_REFINE_MIN_STEP = 1e-14
-# Each |J_i| changes by at most sqrt(2) per unit move of any t_j, so a zero
-# of max|J| is within (3h/2)*sqrt(2) of some grid value at spacing h.
-_CANDIDATE_LIPSCHITZ = 3.0 * SQRT2
+_QUARTER_PI = math.pi / 4.0
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class JZeroSolution:
 
 @dataclass(frozen=True)
 class ConstraintSearchReport:
-    """Outcome of the certified scan for all-zero J points in the angle box."""
+    """Outcome of the exact search for all-zero J points in the angle box."""
 
     solutions: tuple[JZeroSolution, ...]
     true_max: float
@@ -151,14 +150,13 @@ def inverse_transform(t: TransformedAngles) -> RealAngles | InfeasibleTransform:
 
 def ghz_objective_3param(angles: RealAngles) -> float:
     """(1/2) (cos t1 cos t2 cos t3 + sin t1 sin t2 sin t3)**2."""
-    t1, t2, t3 = _three(angles)
-    return _objective3(t1, t2, t3)
+    return float(_objective3(*_three(angles)))
 
 
 def ghz_objective_4param(t: TransformedAngles) -> float:
     """The substituted form, defined on all of 4-space including off-hyperplane
     points; agrees with :func:`ghz_objective_3param` exactly on the hyperplane."""
-    return _objective4(*t.as_tuple())
+    return float(_objective4(*t.as_tuple()))
 
 
 def j_vector(t: TransformedAngles) -> JVector:
@@ -170,19 +168,6 @@ def j_vector(t: TransformedAngles) -> JVector:
         -math.sin(x) + math.cos(x),
         -math.sin(y) + math.cos(y),
         -math.sin(z) - math.cos(z),
-    )
-
-
-def j_vector_shifted_cosine(t: TransformedAngles) -> JVector:
-    """Equivalent closed forms: J0 = -sqrt(2) cos(pi/4 - w), J1 = sqrt(2)
-    cos(pi/4 + x), J2 = sqrt(2) cos(pi/4 + y), J3 = -sqrt(2) cos(pi/4 - z)."""
-    w, x, y, z = t.as_tuple()
-    q = math.pi / 4.0
-    return JVector(
-        -SQRT2 * math.cos(q - w),
-        SQRT2 * math.cos(q + x),
-        SQRT2 * math.cos(q + y),
-        -SQRT2 * math.cos(q - z),
     )
 
 
@@ -238,79 +223,53 @@ def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
     if samples < 1:
         raise ValueError(f"samples: must be >= 1, got {samples!r}")
     rng = np.random.default_rng(rng_seed)
-    t = rng.uniform(-_HALF_PI, _HALF_PI, size=(samples, 3))
-    t1, t2, t3 = t[:, 0], t[:, 1], t[:, 2]
-    obj3 = 0.5 * (np.cos(t1) * np.cos(t2) * np.cos(t3) + np.sin(t1) * np.sin(t2) * np.sin(t3)) ** 2
-    w, x, y, z = t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3
-    bracket = (
-        (np.cos(w) - np.sin(w))
-        + (np.cos(x) + np.sin(x))
-        + (np.cos(y) + np.sin(y))
-        + (np.cos(z) - np.sin(z))
-    )
-    return float(np.max(np.abs(obj3 - bracket * bracket / 32.0)))
+    t1, t2, t3 = rng.uniform(-_HALF_PI, _HALF_PI, size=(samples, 3)).T
+    obj3 = _objective3(t1, t2, t3)
+    obj4 = _objective4(t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3)
+    return float(np.max(np.abs(obj3 - obj4)))
 
 
 def constraint5_search(grid_resolution: int = 181, eps: float = 1e-8) -> ConstraintSearchReport:
-    """Certified scan of the angle box for points where all four J vanish.
+    """Exact enumeration of the points in the angle box where all four J vanish.
 
-    Scans the full grid, refines every grid-local minimum of max|J| whose
-    value is below the Lipschitz bound for a zero in an adjacent cell, and
-    keeps refined points with max|J| < eps.  Also refines the grid maximum of
-    the objective itself (``true_max``) and reports the minimum hyperplane
-    residual of the term-maximizing family.
+    All J vanish iff w = -pi/4, x = pi/4, y = pi/4 and z = -pi/4 (mod pi, with
+    multiples m0..m3), and the hyperplane forces m0 - m1 - m2 + m3 = 1, so
+    t = -pi/4 + (a, b, c) pi/2 with a + b + c odd: in the box, the four points
+    (+-pi/4, +-pi/4, +-pi/4) with an even number of minus signs.  Each is kept
+    only if max|J| < ``eps`` under :func:`j_vector`.
+
+    For fixed t3 the maximum of the amplitude over (t1, t2) is the top singular
+    value max(|cos t3|, |sin t3|) of diag(cos t3, sin t3); ``true_max`` takes
+    it over ``grid_resolution`` values of t3 on [-pi/2, pi/2], whose endpoints
+    attain the maximum.  Also reports the minimum hyperplane residual of the
+    term-maximizing family.
     """
     if grid_resolution < 9:
         raise ValueError(f"grid_resolution: must be >= 9, got {grid_resolution!r}")
     if not eps > 0.0:
         raise ValueError(f"eps: must be > 0, got {eps!r}")
-    grid = np.linspace(-_HALF_PI, _HALF_PI, grid_resolution)
-    spacing = grid[1] - grid[0]
-    threshold = _CANDIDATE_LIPSCHITZ * spacing
-
-    f = np.empty((grid_resolution,) * 3)
-    obj = np.empty_like(f)
-    t2, t3 = np.meshgrid(grid, grid, indexing="ij")
-    for i1, t1 in enumerate(grid):
-        w, x = t1 + t2 + t3, t1 + t2 - t3
-        y, z = t1 - t2 + t3, t1 - t2 - t3
-        f[i1] = np.maximum.reduce(
-            [
-                np.abs(np.sin(w) + np.cos(w)),
-                np.abs(np.cos(x) - np.sin(x)),
-                np.abs(np.cos(y) - np.sin(y)),
-                np.abs(np.sin(z) + np.cos(z)),
-            ]
-        )
-        obj[i1] = 0.5 * (
-            math.cos(t1) * np.cos(t2) * np.cos(t3) + math.sin(t1) * np.sin(t2) * np.sin(t3)
-        ) ** 2
 
     solutions = []
-    for idx in _grid_local_minima(f, threshold):
-        start = grid[list(idx)]
-        point, value = _pattern_search(_max_abs_j, start, spacing)
-        if value >= eps:
+    for steps in itertools.product((0, 1), repeat=3):
+        if sum(steps) % 2 == 0:
             continue
-        thetas = tuple(canonical_angle(v) for v in point)
-        if any(_close(thetas, s.thetas, 1e-6) for s in solutions):
+        angles = RealAngles(tuple(-_QUARTER_PI + k * _HALF_PI for k in steps))
+        j = j_vector(transform_to_wxyz(angles))
+        if j.max_abs() >= eps:
             continue
-        j = j_vector(transform_to_wxyz(RealAngles(thetas)))
         solutions.append(
             JZeroSolution(
-                thetas=thetas,
+                thetas=angles.thetas,
                 j=j.as_tuple(),
-                objective=ghz_objective_3param(RealAngles(thetas)),
-                max_abs_j=value,
+                objective=ghz_objective_3param(angles),
+                max_abs_j=j.max_abs(),
             )
         )
     solutions.sort(key=lambda s: s.thetas)
 
-    best_idx = np.unravel_index(int(np.argmax(obj)), obj.shape)
-    peak, neg_value = _pattern_search(
-        lambda p: -_objective3(*p), grid[list(best_idx)], spacing
-    )
-    true_max = max(float(np.max(obj)), -neg_value)
+    t3 = np.linspace(-_HALF_PI, _HALF_PI, grid_resolution)
+    top = np.maximum(np.abs(np.cos(t3)), np.abs(np.sin(t3)))
+    true_max = 0.5 * float(np.max(top)) ** 2
 
     return ConstraintSearchReport(
         solutions=tuple(solutions),
@@ -327,8 +286,8 @@ def refutation_report(
     identity_samples: int = 10**5,
     rng_seed: int = 0,
 ) -> dict:
-    """JSON-ready summary combining the flawed maximum, the certified search,
-    and the identity check.
+    """JSON-ready summary combining the flawed maximum, the exact all-zero-J
+    search, and the identity check.
 
     Schema: {"solutions": [{"theta": [...], "j": [...], "objective": ...}],
     "flawed_max": 1.0, "true_max": 0.5, "hyperplane_min_residual": pi,
@@ -368,71 +327,18 @@ def _three(angles: RealAngles) -> tuple[float, float, float]:
     return angles.thetas  # type: ignore[return-value]
 
 
-def _objective3(t1: float, t2: float, t3: float) -> float:
-    amp = math.cos(t1) * math.cos(t2) * math.cos(t3) + math.sin(t1) * math.sin(t2) * math.sin(t3)
-    return 0.5 * amp * amp
+# The two objectives are numpy ufunc expressions, so they take scalars and
+# arrays alike.
+def _objective3(t1, t2, t3):
+    amp = np.cos(t1) * np.cos(t2) * np.cos(t3) + np.sin(t1) * np.sin(t2) * np.sin(t3)
+    return 0.5 * amp**2
 
 
-def _objective4(w: float, x: float, y: float, z: float) -> float:
+def _objective4(w, x, y, z):
     bracket = (
-        (math.cos(w) - math.sin(w))
-        + (math.cos(x) + math.sin(x))
-        + (math.cos(y) + math.sin(y))
-        + (math.cos(z) - math.sin(z))
+        (np.cos(w) - np.sin(w))
+        + (np.cos(x) + np.sin(x))
+        + (np.cos(y) + np.sin(y))
+        + (np.cos(z) - np.sin(z))
     )
     return bracket * bracket / 32.0
-
-
-def _max_abs_j(point: np.ndarray) -> float:
-    t1, t2, t3 = point
-    w, x, y, z = t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3
-    return max(
-        abs(math.sin(w) + math.cos(w)),
-        abs(math.cos(x) - math.sin(x)),
-        abs(math.cos(y) - math.sin(y)),
-        abs(math.sin(z) + math.cos(z)),
-    )
-
-
-def _grid_local_minima(f: np.ndarray, threshold: float) -> list[tuple[int, ...]]:
-    """Indices of grid points below threshold that are minima of their
-    6-neighborhood (ties allowed, so flat basins still yield candidates;
-    boundary points only compare against existing neighbors)."""
-    is_min = f < threshold
-    for axis in range(f.ndim):
-        head = [slice(None)] * f.ndim
-        tail = [slice(None)] * f.ndim
-        head[axis] = slice(None, -1)
-        tail[axis] = slice(1, None)
-        head, tail = tuple(head), tuple(tail)
-        is_min[head] &= f[head] <= f[tail]
-        is_min[tail] &= f[tail] <= f[head]
-    return [tuple(idx) for idx in np.argwhere(is_min)]
-
-
-def _pattern_search(fun, start: np.ndarray, step0: float) -> tuple[np.ndarray, float]:
-    """Coordinate pattern search inside the closed angle box, minimizing fun."""
-    point = np.array(start, dtype=float)
-    best = fun(point)
-    step = float(step0)
-    for _ in range(_REFINE_ITERATIONS):
-        improved = False
-        for d in range(point.size):
-            for sign in (1.0, -1.0):
-                trial = point.copy()
-                trial[d] += sign * step
-                if not -_HALF_PI <= trial[d] <= _HALF_PI:
-                    continue
-                value = fun(trial)
-                if value < best:
-                    best, point = value, trial
-                    improved = True
-        if not improved:
-            step *= _REFINE_SHRINK
-            if step < _REFINE_MIN_STEP:
-                break
-    return point, best
-
-
-def _close(a: tuple[float, ...], b: tuple[float, ...], tol: float) -> bool:
-    return all(abs(x - y) <= tol for x, y in zip(a, b))

@@ -38,6 +38,11 @@ _GRID_BUDGET = 10**8  # max number of grid points in the brute-force search
 _AXES = "abcdefghijkl"
 
 
+class MonotonicityError(RuntimeError):
+    """A sweep lowered some start's squared overlap, which exact per-factor
+    updates cannot do; the contraction or update arithmetic is broken."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the multi-start alternating maximizer.
@@ -288,7 +293,10 @@ def _batched_ascent(
         # v is the environment of the last factor w.r.t. all current others,
         # so the full overlap is free here.
         new_sq = np.abs(np.einsum("sb,sb->s", np.conj(factors[:, n - 1]), v)) ** 2
-        assert np.all(new_sq >= sq - _MONOTONE_SLACK), "squared overlap decreased within a sweep"
+        if np.any(new_sq < sq - _MONOTONE_SLACK):
+            raise MonotonicityError(
+                f"sweep {sweep}: squared overlap decreased by {float(np.max(sq - new_sq))!r}"
+            )
         newly = (np.abs(new_sq - sq) < tol) & (conv_at < 0)
         conv_at[newly] = sweep
         sq = new_sq

@@ -1,4 +1,4 @@
-"""Angle substitution, stationarity constraints, and the certified search."""
+"""Angle substitution, stationarity constraints, and the exact all-zero-J search."""
 
 import json
 import math
@@ -22,7 +22,6 @@ from groverian import (
     hyperplane_residual,
     inverse_transform,
     j_vector,
-    j_vector_shifted_cosine,
     objective_real,
     refutation_report,
     sign_resolved_min_residual,
@@ -36,6 +35,13 @@ Q = math.pi / 4.0
 angle_triples = st.tuples(
     st.floats(-PI / 2, PI / 2), st.floats(-PI / 2, PI / 2), st.floats(-PI / 2, PI / 2)
 )
+
+
+def shifted_cosine_j(w, x, y, z):
+    """J in its shifted-cosine form, independent of :func:`j_vector`'s
+    sin/cos form; works elementwise on arrays."""
+    s2 = math.sqrt(2.0)
+    return (-s2 * np.cos(Q - w), s2 * np.cos(Q + x), s2 * np.cos(Q + y), -s2 * np.cos(Q - z))
 
 
 class TestTransform:
@@ -162,10 +168,8 @@ class TestJVector:
     )
     @settings(max_examples=200)
     def test_shifted_cosine_form_and_amplitude_bound(self, quad):
-        t = TransformedAngles(*quad)
-        j = j_vector(t)
-        k = j_vector_shifted_cosine(t)
-        assert j.as_tuple() == pytest.approx(k.as_tuple(), abs=1e-14)
+        j = j_vector(TransformedAngles(*quad))
+        assert j.as_tuple() == pytest.approx(shifted_cosine_j(*quad), abs=1e-14)
         assert j.max_abs() <= math.sqrt(2.0) + 1e-14
 
 
@@ -238,6 +242,43 @@ class TestConstraintSearch:
     def test_resolution_guard(self):
         with pytest.raises(ValueError, match="grid_resolution"):
             constraint5_search(grid_resolution=5)
+        with pytest.raises(ValueError, match="grid_resolution"):
+            constraint5_search(grid_resolution=8)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
+    def test_eps_guard(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            constraint5_search(grid_resolution=9, eps=eps)
+
+    def test_eps_below_rounding_reports_nothing(self):
+        # The four points evaluate to max|J| ~ 1.1e-16, not to an exact zero.
+        report = constraint5_search(grid_resolution=181, eps=1e-17)
+        assert report.solutions == ()
+        assert report.true_max == 0.5
+
+    @pytest.mark.parametrize("resolution", [9, 41, 181])
+    def test_resolution_changes_nothing(self, resolution):
+        report = constraint5_search(grid_resolution=resolution, eps=1e-8)
+        assert report.solutions == constraint5_search(grid_resolution=61, eps=1e-8).solutions
+        assert len(report.solutions) == 4
+        assert report.true_max == 0.5
+        assert report.grid_resolution == resolution
+
+    def test_grid_finds_no_zero_away_from_the_enumerated_points(self):
+        # Each |J_i| moves by at most sqrt(2) per unit step of any t_j, so a
+        # zero of max|J| is within (3h/2) sqrt(2) of a grid value at spacing
+        # h; every grid point that low must sit next to an enumerated point.
+        grid = np.linspace(-PI / 2, PI / 2, 61)
+        h = grid[1] - grid[0]
+        t1, t2, t3 = np.meshgrid(grid, grid, grid, indexing="ij")
+        j = shifted_cosine_j(t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3)
+        max_abs_j = np.max(np.abs(np.stack(j)), axis=0)
+        low = np.stack([t1, t2, t3], axis=-1)[max_abs_j < 3.0 * math.sqrt(2.0) * h]
+        points = np.array([s.thetas for s in constraint5_search(eps=1e-8).solutions])
+        dist = np.max(np.abs(low[:, np.newaxis, :] - points[np.newaxis, :, :]), axis=2)
+        assert np.all(np.min(dist, axis=1) <= 4.0 * h)
+        # ... and every enumerated point has such a grid neighbour.
+        assert np.all(np.min(dist, axis=0) <= 1.5 * h)
 
 
 class TestReport:

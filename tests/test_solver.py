@@ -1,12 +1,19 @@
 """Multi-start alternating maximizer: examples, oracles, and properties."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groverian import solver
 from groverian import (
+    MonotonicityError,
     NormalizationError,
     ProductState,
     PureState,
@@ -141,6 +148,42 @@ class TestMonotoneAscent:
         assert history[0] == pytest.approx(0.0, abs=1e-15)
         assert history[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(history) >= -1e-12)
+
+    def test_decrease_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_batched_env", _shrinking_env(solver._batched_env))
+        with pytest.raises(MonotonicityError, match="decreased"):
+            pmax_alternating(ghz(3))
+
+    def test_decrease_raises_under_python_dash_o(self):
+        # python -O strips assert statements; the check must survive it.
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _DECREASE_UNDER_DASH_O],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["optimize=1", "raised"]
+
+
+def _shrinking_env(real_env):
+    """Exact on the first call (the starting overlap), scaled by 1e-3 after
+    that, so the first sweep lowers the squared overlap."""
+    calls = itertools.count()
+    return lambda t, factors, k: real_env(t, factors, k) * (1.0 if next(calls) == 0 else 1e-3)
+
+
+_DECREASE_UNDER_DASH_O = """
+import itertools, sys
+from groverian import MonotonicityError, ghz, pmax_alternating, solver
+real_env, calls = solver._batched_env, itertools.count()
+solver._batched_env = lambda t, f, k: real_env(t, f, k) * (1.0 if next(calls) == 0 else 1e-3)
+print(f"optimize={sys.flags.optimize}")
+try:
+    pmax_alternating(ghz(3))
+except MonotonicityError:
+    print("raised")
+"""
 
 
 class TestOracleAgreement:
