@@ -11,7 +11,14 @@ a single start.
 
 All starts are iterated together as one batched array, which keeps the result
 bit-identical regardless of scheduling and is dramatically faster than a
-Python loop over starts.
+Python loop over starts.  Each sweep runs left to right on the contraction
+kernel of :mod:`groverian.states`: it first builds the suffix products of the
+previous sweep's factors, then carries the prefix, psi contracted with the
+factors already updated in this sweep.  The environment of qubit k is that
+prefix times the suffix product of factors k+1..n-1, so one factor update
+costs one environment matmul and one prefix matmul.  Memory grows as
+n_starts * 2**n, which is checked against a fixed element budget before any
+start is allocated.
 """
 from __future__ import annotations
 
@@ -26,6 +33,10 @@ from .states import (
     PureState,
     RealAngles,
     SingleQubitState,
+    batch_overlap,
+    contract_leading,
+    contract_tail,
+    tail_products,
 )
 
 RESTRICTIONS = ("full_bloch", "real_plane")
@@ -34,8 +45,7 @@ DEGENERATE_ENV_NORM = 1e-14  # below this the previous factor is kept
 _MONOTONE_SLACK = 1e-12
 _REAL_INPUT_TOL = 1e-12
 _GRID_BUDGET = 10**8  # max number of grid points in the brute-force search
-
-_AXES = "abcdefghijkl"
+_START_BUDGET = 2**24  # max n_starts * 2**n elements in one batched solve
 
 
 class MonotonicityError(RuntimeError):
@@ -79,7 +89,10 @@ class PmaxResult:
     """Best squared overlap over all starts, with the optimizing product state.
 
     ``sweeps_used`` counts the full sweeps executed; ``converged`` refers to
-    the best start; ties across starts resolve to the lowest start index.
+    the best start.  The best start is the lowest start index whose squared
+    overlap is within ``tol`` of the largest, and ``pmax`` is that start's
+    value, so rounding-level differences between starts that reached the
+    same maximum never decide the winner.
     """
 
     pmax: float
@@ -91,18 +104,17 @@ class PmaxResult:
 
 def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> PmaxResult:
     """Maximize |<product|psi>|**2 by multi-start alternating factor updates."""
+    n = psi.n_qubits
+    _check_budget(cfg.n_starts, n)
     norm_sq = float(np.sum(np.abs(psi.amplitudes) ** 2))
     if abs(norm_sq - 1.0) > 1e-10:
         raise NormalizationError(f"psi: squared norm {norm_sq!r} is not 1 within 1e-10")
-    n = psi.n_qubits
-    if n > len(_AXES):
-        raise ValueError(f"psi: solver supports at most {len(_AXES)} qubits, got {n}")
 
     factors = _start_factors(psi, cfg)
     sq, factors, conv_at, sweeps = _batched_ascent(
-        psi.tensor(), factors, cfg.max_sweeps, cfg.tol
+        psi.amplitudes, factors, cfg.max_sweeps, cfg.tol
     )
-    best = int(np.argmax(sq))
+    best = int(np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0])
     optimizer = ProductState(
         tuple(SingleQubitState(factors[best, k, 0], factors[best, k, 1]) for k in range(n))
     )
@@ -126,14 +138,12 @@ def objective_real(psi: PureState, angles: RealAngles) -> float:
     Equals (sum_x a_x prod_i c_i(x_i))**2 with c_i(0) = cos(theta_i) and
     c_i(1) = sin(theta_i).
     """
-    a = _real_tensor(psi)
+    a = _real_amplitudes(psi)
     if len(angles) != psi.n_qubits:
         raise ValueError(
             f"angles: expected {psi.n_qubits} angles, got {len(angles)}"
         )
-    for t in angles.thetas:
-        a = np.tensordot(a, np.array([math.cos(t), math.sin(t)]), axes=([0], [0]))
-    return float(a) ** 2
+    return float(batch_overlap(a, _real_factors(angles)[np.newaxis])[0]) ** 2
 
 
 def gradient_real(psi: PureState, angles: RealAngles) -> np.ndarray:
@@ -143,28 +153,21 @@ def gradient_real(psi: PureState, angles: RealAngles) -> np.ndarray:
     amplitude sum: grad_i = 2 * A * (d_i . v_i) with v_i the contraction of
     psi against all other factors.
     """
-    t = _real_tensor(psi)
+    a = _real_amplitudes(psi)
     n = psi.n_qubits
     if len(angles) != n:
         raise ValueError(f"angles: expected {n} angles, got {len(angles)}")
-    cs = np.stack(
-        [np.cos(angles.thetas), np.sin(angles.thetas)], axis=1
-    )  # (n, 2) factor amplitudes
+    cs = _real_factors(angles)[np.newaxis]  # (1, n, 2) factor amplitudes
     ds = np.stack(
         [-np.sin(angles.thetas), np.cos(angles.thetas)], axis=1
     )  # (n, 2) factor derivatives
-    grad = np.empty(n)
-    amplitude = None
+    tails = tail_products(cs)
+    envs = np.empty((n, 2))
     for i in range(n):
-        v = t
-        for j in reversed(range(n)):
-            if j == i:
-                continue
-            v = np.tensordot(v, cs[j], axes=([j], [0]))
-        if amplitude is None:
-            amplitude = float(cs[i] @ v)
-        grad[i] = 2.0 * amplitude * float(ds[i] @ v)
-    return grad
+        envs[i] = contract_tail(a, tails[i + 1])[0]
+        a = contract_leading(a, cs[:, i])
+    amplitude = float(a[0, 0])  # a is now psi contracted with every factor
+    return 2.0 * amplitude * np.sum(ds * envs, axis=1)
 
 
 def pmax_gridsearch(psi: PureState, resolution: int) -> float:
@@ -182,7 +185,7 @@ def pmax_gridsearch(psi: PureState, resolution: int) -> float:
             f"resolution: grid of {resolution}**{n} points exceeds the "
             f"{_GRID_BUDGET:.0e} budget"
         )
-    a = _real_tensor(psi)
+    a = _real_amplitudes(psi).reshape((2,) * n)
     thetas = np.linspace(-math.pi / 2, math.pi / 2, resolution)
     c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)  # (resolution, 2)
     for _ in range(n):
@@ -200,13 +203,14 @@ def ascent_history(
         raise ValueError(
             f"dimension mismatch: state has {psi.n_qubits} qubits, start has {start.n_qubits}"
         )
+    _check_budget(1, psi.n_qubits)
     factors = start.factor_matrix()[np.newaxis, :, :].copy()
-    history = [float(_batched_overlap_sq(psi.tensor(), factors)[0])]
+    history = [float(np.abs(batch_overlap(psi.amplitudes[np.newaxis], factors)[0]) ** 2)]
 
     def record(sq: np.ndarray) -> None:
         history.append(float(sq[0]))
 
-    _batched_ascent(psi.tensor(), factors, max_sweeps, tol, on_sweep=record)
+    _batched_ascent(psi.amplitudes, factors, max_sweeps, tol, on_sweep=record)
     return np.asarray(history)
 
 
@@ -241,29 +245,8 @@ def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
     return factors
 
 
-def _batched_env(t: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
-    """Environment vectors of qubit k for every start at once: (n_starts, 2)."""
-    n = t.ndim
-    if n == 1:
-        return np.broadcast_to(t, (factors.shape[0], 2))
-    operands = [t]
-    subs = [_AXES[:n]]
-    for j in range(n):
-        if j == k:
-            continue
-        operands.append(np.conj(factors[:, j]))
-        subs.append("z" + _AXES[j])
-    return np.einsum(",".join(subs) + "->z" + _AXES[k], *operands, optimize=True)
-
-
-def _batched_overlap_sq(t: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    v = _batched_env(t, factors, factors.shape[1] - 1)
-    ov = np.einsum("sb,sb->s", np.conj(factors[:, -1]), v)
-    return np.abs(ov) ** 2
-
-
 def _batched_ascent(
-    t: np.ndarray,
+    amplitudes: np.ndarray,
     factors: np.ndarray,
     max_sweeps: int,
     tol: float,
@@ -278,21 +261,27 @@ def _batched_ascent(
     previous factor, preserving monotonicity at saddle configurations.
     """
     n_starts, n = factors.shape[0], factors.shape[1]
-    sq = _batched_overlap_sq(t, factors)
+    psi = amplitudes[np.newaxis]
+    sq = np.abs(batch_overlap(psi, factors)) ** 2
     conv_at = np.full(n_starts, -1, dtype=int)
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
-        v = None
+        # Factors k+1.. are not yet updated when qubit k is, so the suffix
+        # products of the previous sweep's factors serve the whole sweep.
+        tails = tail_products(factors)
+        prefix = psi
         for k in range(n):
-            v = _batched_env(t, factors, k)
+            v = contract_tail(prefix, tails[k + 1])
             norms = np.linalg.norm(v, axis=1)
             ok = norms > DEGENERATE_ENV_NORM
             safe = np.where(ok, norms, 1.0)[:, np.newaxis]
             factors[:, k] = np.where(ok[:, np.newaxis], v / safe, factors[:, k])
+            if k + 1 < n:
+                prefix = contract_leading(prefix, factors[:, k])
         # v is the environment of the last factor w.r.t. all current others,
         # so the full overlap is free here.
-        new_sq = np.abs(np.einsum("sb,sb->s", np.conj(factors[:, n - 1]), v)) ** 2
+        new_sq = np.abs(contract_leading(v, factors[:, n - 1])[:, 0]) ** 2
         if np.any(new_sq < sq - _MONOTONE_SLACK):
             raise MonotonicityError(
                 f"sweep {sweep}: squared overlap decreased by {float(np.max(sq - new_sq))!r}"
@@ -307,10 +296,24 @@ def _batched_ascent(
     return sq, factors, conv_at, sweeps
 
 
-def _real_tensor(psi: PureState) -> np.ndarray:
+def _check_budget(n_starts: int, n: int) -> None:
+    if n_starts * 2**n > _START_BUDGET:
+        raise ValueError(
+            f"n_starts: {n_starts} starts x 2**{n} amplitudes exceeds the "
+            f"{_START_BUDGET}-element budget of the batched solver; use fewer starts"
+        )
+
+
+def _real_factors(angles: RealAngles) -> np.ndarray:
+    """(n, 2) real-plane factor amplitudes (cos(theta_i), sin(theta_i))."""
+    return np.stack([np.cos(angles.thetas), np.sin(angles.thetas)], axis=1)
+
+
+def _real_amplitudes(psi: PureState) -> np.ndarray:
+    """Real parts of a real state's amplitudes as a (1, 2**n) batch."""
     if not psi.is_real(_REAL_INPUT_TOL):
         raise ValueError(
             f"psi: real-plane routines require real amplitudes "
             f"(imaginary parts below {_REAL_INPUT_TOL})"
         )
-    return psi.amplitudes.real.reshape((2,) * psi.n_qubits)
+    return psi.amplitudes.real[np.newaxis]

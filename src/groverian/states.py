@@ -250,6 +250,61 @@ def _check_n(n: int, family: str) -> None:
 # Overlaps and contractions
 # ----------------------------------------------------------------------------
 
+# The kernel below is the one place where a state is contracted with product
+# factors.  Everything works on a batch of S rank-1 ansatzes at once: a
+# (S, 2*R) array holds, per start, a tensor whose leading axis is the next
+# qubit to contract, and (S, 2) arrays hold the factors.  A shared state
+# enters with S = 1 and broadcasts against S factor rows; the unbatched
+# functions are the S = 1 case.  Every step is one np.matmul over the batch,
+# so no einsum path is planned and each row's arithmetic does not depend on
+# the other rows.
+
+def contract_leading(t: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Contract the leading qubit of a (S, 2*R) batch with the conjugated
+    (S, 2) factors: row s of the (S, R) result is sum_b conj(f[s, b]) t[s, b, :]."""
+    rows = t.reshape(t.shape[0], 2, -1)
+    return np.matmul(np.conj(factors)[:, np.newaxis, :], rows)[:, 0, :]
+
+
+def contract_tail(prefix: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Environment (S, 2) of the leading qubit of a (S, 2*R) prefix, given the
+    (S, R) conjugated product of the factors after it (see :func:`tail_products`)."""
+    rows = prefix.reshape(prefix.shape[0], 2, -1)
+    return np.matmul(rows, tail[:, :, np.newaxis])[:, :, 0]
+
+
+def tail_products(factors: np.ndarray) -> list:
+    """Conjugated suffix products of (S, n, 2) factors.
+
+    Entry k (1 <= k <= n) is the (S, 2**(n - k)) product conj(f_k) x ... x
+    conj(f_{n-1}), with entry n all ones.  Entry 0 would be the full S x 2**n
+    product, which no contraction needs, so it is left as None.
+    """
+    s, n = factors.shape[0], factors.shape[1]
+    tails = [None] * (n + 1)
+    tails[n] = np.ones((s, 1), dtype=factors.dtype)
+    for k in range(n - 1, 0, -1):
+        head = np.conj(factors[:, k])[:, :, np.newaxis]
+        tails[k] = (head * tails[k + 1][:, np.newaxis, :]).reshape(s, -1)
+    return tails
+
+
+def batch_overlap(t: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """<phi_s|psi> for each row of (S, n, 2) factors against a (1 or S, 2**n)
+    state batch: (S,)."""
+    for k in range(factors.shape[1]):
+        t = contract_leading(t, factors[:, k])
+    return t[:, 0]
+
+
+def batch_environment(t: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
+    """Environment (S, 2) of qubit k: the state contracted with every factor
+    of each row of (S, n, 2) ``factors`` except factor k."""
+    for j in range(k):
+        t = contract_leading(t, factors[:, j])
+    return contract_tail(t, tail_products(factors[:, k:])[1])
+
+
 def overlap(psi: PureState, phi: ProductState) -> complex:
     """Inner product <phi_1 x ... x phi_n | psi>.
 
@@ -258,10 +313,7 @@ def overlap(psi: PureState, phi: ProductState) -> complex:
     the maximization this distinction vanishes.
     """
     _check_same_size(psi, phi)
-    t = psi.tensor()
-    for j in reversed(range(phi.n_qubits)):
-        t = np.tensordot(t, np.conj(phi.factors[j].as_array()), axes=([j], [0]))
-    return complex(t)
+    return complex(batch_overlap(psi.amplitudes[np.newaxis], phi.factor_matrix()[np.newaxis])[0])
 
 
 def environment_vector(psi: PureState, phi: ProductState, k: int) -> np.ndarray:
@@ -276,12 +328,7 @@ def environment_vector(psi: PureState, phi: ProductState, k: int) -> np.ndarray:
     n = phi.n_qubits
     if not 0 <= k < n:
         raise ValueError(f"k: qubit index {k!r} outside [0, {n})")
-    t = psi.tensor()
-    for j in reversed(range(n)):
-        if j == k:
-            continue
-        t = np.tensordot(t, np.conj(phi.factors[j].as_array()), axes=([j], [0]))
-    return t.reshape(2)
+    return batch_environment(psi.amplitudes[np.newaxis], phi.factor_matrix()[np.newaxis], k)[0]
 
 
 def real_angles_to_product(angles: RealAngles) -> ProductState:

@@ -1,0 +1,61 @@
+"""The experiment scripts run end to end and write what they promise."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, cwd):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_family_sweep(tmp_path):
+    out = tmp_path / "sweep.csv"
+    stdout = run_script("family_sweep.py", "--seeds", 4, "--out", out, cwd=tmp_path)
+    rows = read_csv(out)
+    # gGHZ at 19 weights for n = 3 and 5, W for n = 2..8, Dicke for n = 2..6.
+    assert len(rows) == 2 * 19 + 7 + sum(n + 1 for n in range(2, 7))
+    assert {r["family"] for r in rows} == {"gghz", "w", "dicke"}
+    assert max(float(r["abs_diff"]) for r in rows) < 1e-8
+    assert f"wrote {out}" in stdout
+
+
+def test_trace_search_entanglement(tmp_path):
+    out_dir = tmp_path / "traces"
+    run_script("trace_search_entanglement.py", "--seeds", 4, "--out-dir", out_dir, cwd=tmp_path)
+    # Twice the optimal iteration count (2 at n = 3, 4 at n = 5), plus row 0.
+    for n, n_rows in ((3, 5), (5, 9)):
+        rows = read_csv(out_dir / f"grover_trace_n{n}.csv")
+        assert list(rows[0]) == ["iteration", "success_probability", "pmax", "groverian"]
+        assert [int(r["iteration"]) for r in rows] == list(range(n_rows))
+        assert float(rows[0]["pmax"]) == 1.0  # the uniform start is a product state
+
+
+def test_run_refutation(tmp_path):
+    out = tmp_path / "report.json"
+    run_script(
+        "run_refutation.py", "--resolution", 41, "--identity-samples", 1000, "--out", out,
+        cwd=tmp_path,
+    )
+    report = json.loads(out.read_text())
+    assert len(report["solutions"]) == 4
+    assert report["flawed_max"] == 1.0
+    assert report["true_max"] == 0.5
+    assert report["identity_deviation"] < 1e-12

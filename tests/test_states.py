@@ -32,12 +32,17 @@ from groverian import (
     uniform,
     w,
 )
+from groverian.states import batch_environment, batch_overlap
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def product_from_pairs(*pairs):
     return ProductState(tuple(SingleQubitState(c0, c1) for c0, c1 in pairs))
+
+
+def random_product(n, rng):
+    return ProductState(tuple(SingleQubitState(*(random_state(1, rng).amplitudes)) for _ in range(n)))
 
 
 class TestFamilies:
@@ -151,16 +156,14 @@ class TestOverlap:
         with pytest.raises(ValueError, match="mismatch"):
             overlap(ghz(3), product_from_pairs((1, 0), (1, 0)))
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_expanded_tensor_product(self, seed, n):
         rng = np.random.default_rng(seed)
         psi = random_state(n, rng)
-        phi = ProductState(
-            tuple(SingleQubitState(*(random_state(1, rng).amplitudes)) for _ in range(n))
-        )
+        phi = random_product(n, rng)
         expected = np.vdot(phi.to_state().amplitudes, psi.amplitudes)
-        assert overlap(psi, phi) == pytest.approx(expected, abs=1e-12)
+        assert abs(overlap(psi, phi) - expected) <= 1e-14
 
     def test_scaling_a_factor_by_a_real_sign_scales_the_overlap_by_it(self):
         rng = np.random.default_rng(7)
@@ -230,6 +233,42 @@ class TestEnvironmentVector:
         phi = product_from_pairs((1, 0), (1, 0), (1, 0))
         with pytest.raises(ValueError, match="k"):
             environment_vector(ghz(3), phi, 3)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_reference(self, seed, n):
+        # v_b is the overlap with factor k replaced by |b>, from expanded states.
+        rng = np.random.default_rng(seed)
+        psi = random_state(n, rng)
+        phi = random_product(n, rng)
+        basis = (SingleQubitState(1, 0), SingleQubitState(0, 1))
+        for k in range(n):
+            dense = [
+                np.vdot(
+                    ProductState(phi.factors[:k] + (e,) + phi.factors[k + 1:]).to_state().amplitudes,
+                    psi.amplitudes,
+                )
+                for e in basis
+            ]
+            np.testing.assert_allclose(environment_vector(psi, phi, k), dense, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
+    def test_batched_rows_equal_single_start_calls(self, n):
+        # A start's result must not depend on which other starts share its batch.
+        rng = np.random.default_rng(n)
+        psi = random_state(n, rng)
+        z = rng.normal(size=(7, n, 2)) + 1j * rng.normal(size=(7, n, 2))
+        factors = z / np.linalg.norm(z, axis=2, keepdims=True)
+        t = psi.amplitudes[np.newaxis]
+        overlaps = batch_overlap(t, factors)
+        for s in range(len(factors)):
+            assert np.array_equal(overlaps[s], batch_overlap(t, factors[s:s + 1])[0])
+        for k in range(n):
+            envs = batch_environment(t, factors, k)
+            for s in range(len(factors)):
+                phi = ProductState(tuple(SingleQubitState(*row) for row in factors[s]))
+                assert np.array_equal(envs[s], batch_environment(t, factors[s:s + 1], k)[0])
+                assert np.array_equal(envs[s], environment_vector(psi, phi, k))
 
 
 class TestRealAnglesToProduct:
