@@ -281,11 +281,11 @@ def tail_products(factors: np.ndarray) -> list:
     product, which no contraction needs, so it is left as None.
     """
     s, n = factors.shape[0], factors.shape[1]
+    conj = np.conj(factors)
     tails = [None] * (n + 1)
     tails[n] = np.ones((s, 1), dtype=factors.dtype)
     for k in range(n - 1, 0, -1):
-        head = np.conj(factors[:, k])[:, :, np.newaxis]
-        tails[k] = (head * tails[k + 1][:, np.newaxis, :]).reshape(s, -1)
+        tails[k] = (conj[:, k, :, np.newaxis] * tails[k + 1][:, np.newaxis, :]).reshape(s, -1)
     return tails
 
 

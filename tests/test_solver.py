@@ -23,6 +23,7 @@ from groverian import (
     apply_single_qubit_unitary,
     ascent_history,
     basis_state,
+    dicke,
     gghz,
     ghz,
     gradient_real,
@@ -40,6 +41,7 @@ from groverian import (
     uniform,
     w,
 )
+from groverian.states import batch_overlap, contract_leading, contract_tail, tail_products
 
 
 class TestConfig:
@@ -152,6 +154,112 @@ class TestReferenceStates:
         r = pmax_alternating(ghz(3))
         assert r.best_start == 0
         assert abs(r.pmax - 0.5) <= 1e-15
+
+
+def _golden_states():
+    rng = np.random.default_rng(9082031)
+    return {n: random_state(n, rng) for n in (8, 9, 10)}
+
+
+def _reference_ascent(amplitudes, factors, max_sweeps, tol):
+    """The batched ascent without start retirement: every start is swept
+    until the slowest one converges."""
+    n_starts, n = factors.shape[0], factors.shape[1]
+    psi = amplitudes[np.newaxis]
+    sq = np.abs(batch_overlap(psi, factors)) ** 2
+    conv_at = np.full(n_starts, -1, dtype=int)
+    sweeps = 0
+    for sweep in range(1, max_sweeps + 1):
+        sweeps = sweep
+        tails = tail_products(factors)
+        prefix = psi
+        for k in range(n):
+            v = contract_tail(prefix, tails[k + 1])
+            norms = np.linalg.norm(v, axis=1)
+            ok = norms > solver.DEGENERATE_ENV_NORM
+            safe = np.where(ok, norms, 1.0)[:, np.newaxis]
+            factors[:, k] = np.where(ok[:, np.newaxis], v / safe, factors[:, k])
+            if k + 1 < n:
+                prefix = contract_leading(prefix, factors[:, k])
+        new_sq = np.abs(contract_leading(v, factors[:, n - 1])[:, 0]) ** 2
+        if np.any(new_sq < sq - solver._MONOTONE_SLACK):
+            raise MonotonicityError(
+                f"sweep {sweep}: squared overlap decreased by {float(np.max(sq - new_sq))!r}"
+            )
+        newly = (np.abs(new_sq - sq) < tol) & (conv_at < 0)
+        conv_at[newly] = sweep
+        sq = new_sq
+        if np.all(conv_at >= 0):
+            break
+    return sq, factors, conv_at, sweeps
+
+
+def _assert_matches_reference(psi, cfg=SolverConfig()):
+    sq, factors, conv_at, sweeps = _reference_ascent(
+        psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol
+    )
+    best = int(np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0])
+    r = pmax_alternating(psi, cfg)
+    assert (r.best_start, r.sweeps_used, r.converged) == (best, sweeps, bool(conv_at[best] >= 0))
+    assert r.pmax == float(sq[best])
+    assert np.array_equal(r.optimizer.factor_matrix(), factors[best])
+
+
+class TestStartRetirement:
+    # Retiring converged starts far below the best must leave every result
+    # bit-identical to the plain loop that sweeps all starts to the end.
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-8, 1e-6])
+    def test_golden_states_match_the_non_retiring_loop(self, tol):
+        for psi in _golden_states().values():
+            _assert_matches_reference(psi, SolverConfig(tol=tol))
+
+    def test_other_configs_match_the_non_retiring_loop(self):
+        _assert_matches_reference(ghz(3))
+        rng = np.random.default_rng(3)
+        _assert_matches_reference(
+            random_state(6, rng, real=True), SolverConfig(restriction="real_plane")
+        )
+        _assert_matches_reference(random_state(7, rng), SolverConfig(n_starts=7, rng_seed=3))
+
+    def test_large_states_match_the_non_retiring_loop(self):
+        rng = np.random.default_rng(11)
+        for n in (11, 12):
+            _assert_matches_reference(random_state(n, rng))
+
+    def test_retired_starts_leave_the_batch(self, monkeypatch):
+        rows = []
+        real_env = solver.contract_tail
+
+        def counting_env(prefix, tail):
+            env = real_env(prefix, tail)
+            rows.append(env.shape[0])
+            return env
+
+        monkeypatch.setattr(solver, "contract_tail", counting_env)
+        r = pmax_alternating(_golden_states()[8])
+        # The plain loop sends 32 rows per qubit per sweep; retirement cut
+        # that to 72 % on this state (2218 of 3072 row-sweeps).
+        assert sum(rows) < 0.8 * 32 * 8 * r.sweeps_used
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # Row 0 meets a degenerate environment (the np.where path), row 1 a
+        # random start that never does (the fast path); each must end as in
+        # its own one-row run.
+        psi = basis_state(2, 0)
+        degenerate = ProductState((SingleQubitState(1, 0), SingleQubitState(0, 1)))
+        rng = np.random.default_rng(4)
+        qubits = [SingleQubitState(*random_state(1, rng).amplitudes) for _ in range(2)]
+        starts = [degenerate.factor_matrix(), ProductState(tuple(qubits)).factor_matrix()]
+        sq, factors, conv_at, sweeps = solver._batched_ascent(
+            psi.amplitudes, np.stack(starts), 500, 1e-12
+        )
+        for i, start in enumerate(starts):
+            one = solver._batched_ascent(psi.amplitudes, start[np.newaxis].copy(), 500, 1e-12)
+            assert one[3] == sweeps
+            assert np.array_equal(one[0], sq[i:i + 1])
+            assert np.array_equal(one[1], factors[i:i + 1])
+            assert np.array_equal(one[2], conv_at[i:i + 1])
 
 
 class TestRegisterSize:
@@ -335,6 +443,19 @@ class TestGridSearch:
         for _ in range(3):
             psi = random_state(2, rng, real=True)
             assert pmax_gridsearch(psi, 61) <= schmidt_pmax_2qubit(psi) + 1e-12
+
+    def test_equals_the_maximum_of_the_squared_grid(self):
+        # max(a.max(), -a.min())**2 must equal max(a * a) bit for bit.
+        rng = np.random.default_rng(61)
+        states = [ghz(3), w(3), dicke(3, 1), gghz(3, a=0.8), uniform(3), basis_state(3, 5)]
+        states += [random_state(n, rng, real=True) for n in (3, 4) for _ in range(10)]
+        thetas = np.linspace(-math.pi / 2, math.pi / 2, 61)
+        c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        for psi in states:
+            a = psi.amplitudes.real.reshape((2,) * psi.n_qubits)
+            for _ in range(psi.n_qubits):
+                a = np.tensordot(a, c, axes=([0], [1]))
+            assert pmax_gridsearch(psi, 61) == float(np.max(a * a))
 
     def test_guards(self):
         with pytest.raises(ValueError, match="resolution"):

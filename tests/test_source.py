@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,3 +16,19 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_itself(path):
+    # numpy is the only declared dependency; a stray import of another
+    # installed package would pass here and fail on a clean install.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "groverian"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    bad = [(line, name) for line, name in found if name.split(".")[0] not in allowed]
+    assert bad == [], f"{path.name}: imports outside stdlib, numpy and groverian: {bad}"
