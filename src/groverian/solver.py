@@ -323,12 +323,9 @@ def _batched_ascent(
         for k in range(n):
             v = contract_tail(prefix, tails[k + 1])
             norms = np.linalg.norm(v, axis=1)
+            # A degenerate environment leaves its row's factor untouched.
             ok = norms > DEGENERATE_ENV_NORM
-            if ok.all():
-                factors[:, k] = v / norms[:, np.newaxis]
-            else:
-                safe = np.where(ok, norms, 1.0)[:, np.newaxis]
-                factors[:, k] = np.where(ok[:, np.newaxis], v / safe, factors[:, k])
+            np.divide(v, norms[:, np.newaxis], out=factors[:, k], where=ok[:, np.newaxis])
             if k + 1 < n:
                 prefix = contract_leading(prefix, factors[:, k])
         # v is the environment of the last factor w.r.t. all current others,
