@@ -9,21 +9,21 @@ Usage:
     python scripts/family_sweep.py [--out family_sweep.csv]
 """
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 
-from groverian import (
-    SolverConfig,
-    dicke,
-    gghz,
-    pmax_alternating,
-    pmax_dicke,
-    pmax_gghz,
-    pmax_w,
-    w,
-)
+from groverian import FAMILIES, SolverConfig, make_family, pmax_alternating
+
+
+def sweep_specs() -> list:
+    """(family name, parameters) of every comparison, in CSV order."""
+    a2s = np.round(np.arange(0.05, 1.0, 0.05), 2)
+    return (
+        [("gghz", {"n": n, "a2": float(a2)}) for n in (3, 5) for a2 in a2s]
+        + [("w", {"n": n}) for n in range(2, 9)]
+        + [("dicke", {"n": n, "k": k}) for n in range(2, 7) for k in range(n + 1)]
+    )
 
 
 def main() -> None:
@@ -35,20 +35,11 @@ def main() -> None:
     cfg = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
 
     rows = [("family", "params", "closed_form", "solver", "abs_diff")]
-    for n in (3, 5):
-        for a_sq in np.round(np.arange(0.05, 1.0, 0.05), 2):
-            closed = pmax_gghz(float(a_sq)).pmax
-            solved = pmax_alternating(gghz(n, a=math.sqrt(float(a_sq))), cfg).pmax
-            rows.append(("gghz", f"n={n};a2={a_sq}", closed, solved, abs(closed - solved)))
-    for n in range(2, 9):
-        closed = pmax_w(n).pmax
-        solved = pmax_alternating(w(n), cfg).pmax
-        rows.append(("w", f"n={n}", closed, solved, abs(closed - solved)))
-    for n in range(2, 7):
-        for k in range(0, n + 1):
-            closed = pmax_dicke(n, k).pmax
-            solved = pmax_alternating(dicke(n, k), cfg).pmax
-            rows.append(("dicke", f"n={n};k={k}", closed, solved, abs(closed - solved)))
+    for name, params in sweep_specs():
+        closed = FAMILIES[name].analytic(params).pmax
+        solved = pmax_alternating(make_family(name, **params), cfg).pmax
+        label = ";".join(f"{k}={v}" for k, v in params.items())
+        rows.append((name, label, closed, solved, abs(closed - solved)))
 
     lines = [",".join(str(c) if isinstance(c, str) else f"{c:#.12g}" for c in row) for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")

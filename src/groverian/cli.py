@@ -23,10 +23,18 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import analytic, refutation
+from . import refutation
 from .grover import GroverConfig, run_trace, trace_to_csv
 from .solver import SolverConfig, pmax_alternating
-from .states import NormalizationError, PureState, load_state_json, make_family
+from .states import (
+    FAMILIES,
+    NormalizationError,
+    PureState,
+    family_params,
+    load_state_json,
+    lookup_family,
+    make_family,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -99,7 +107,14 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
 def _cmd_analytic(args: argparse.Namespace) -> int:
     opts = _common_options(args)
     name, params = _parse_family_spec(args.family)
-    result, verify_state = _analytic_dispatch(name, params)
+    entry = FAMILIES[name]
+    if entry.closed_form is None:
+        known = ", ".join(sorted(k for k, f in FAMILIES.items() if f.closed_form))
+        raise ValueError(f"family: no closed form for {name!r} (known: {known})")
+    if "n" not in entry.closed_form_params:
+        params.setdefault("n", 3)  # the closed form is the same at every n >= 2
+    bound = family_params(name, **params)
+    result = entry.analytic(bound)
     payload = {
         "pmax": result.pmax,
         "groverian": result.groverian,
@@ -107,7 +122,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         "separable": result.separable,
     }
     if args.verify:
-        solver_pmax = pmax_alternating(verify_state, opts.solver).pmax
+        solver_pmax = pmax_alternating(entry.build(**bound), opts.solver).pmax
         payload["solver_pmax"] = solver_pmax
         payload["verify_abs_diff"] = abs(solver_pmax - result.pmax)
     if opts.fmt == "csv":
@@ -191,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pmax)
 
     p = sub.add_parser("analytic", parents=[common],
-                       help="closed-form values for gghz/w/dicke families")
+                       help="closed-form values for the ghz/gghz/w/dicke families")
     p.add_argument("--family", required=True,
                    help="family spec, e.g. gghz:a2=0.5, w:n=5, dicke:n=4,k=2")
     p.add_argument("--verify", action="store_true",
@@ -234,33 +249,39 @@ def _common_options(args: argparse.Namespace) -> CommonOptions:
 def _load_state(args: argparse.Namespace, opts: CommonOptions) -> PureState:
     if args.family is not None:
         name, params = _parse_family_spec(args.family)
-        return _family_state(name, params)
+        return make_family(name, **params)
     return load_state_json(args.file, normalize=opts.normalize)
 
 
 def _parse_family_spec(spec: str) -> tuple[str, dict]:
-    """Parse ``name:tok,tok,...`` where a bare token is positional and
-    ``key=value`` tokens are named; numbers parse as int when possible."""
+    """Parse ``name:tok,tok,...`` into the family name and its parameters by
+    name: a bare token binds to the next parameter in the family's order, a
+    ``key=value`` token by key (``a`` is an alias of ``a2``).  Numbers parse
+    as int when possible; :func:`family_params` checks the rest."""
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
     if not name:
         raise ValueError(f"family: empty family name in {spec!r}")
-    positional: list[float] = []
-    named: dict[str, float] = {}
-    if rest.strip():
-        for token in rest.split(","):
-            token = token.strip()
-            if not token:
-                raise ValueError(f"family: empty parameter in {spec!r}")
-            if "=" in token:
-                key, _, value = token.partition("=")
-                key = key.strip().lower()
-                if key in named:
-                    raise ValueError(f"family: duplicate parameter {key!r} in {spec!r}")
-                named[key] = _parse_number(value, spec)
-            else:
-                positional.append(_parse_number(token, spec))
-    return name, {"_positional": positional, **named}
+    order = lookup_family(name).params
+    bound: dict[str, float] = {}
+    n_positional = 0
+    for token in rest.split(",") if rest.strip() else []:
+        if not token.strip():
+            raise ValueError(f"family: empty parameter in {spec!r}")
+        key, is_named, value = token.partition("=")
+        if is_named:
+            key = key.strip().lower()
+            if key == "a" and "a2" in order:
+                key = "a2"
+        elif n_positional < len(order):
+            key, value = order[n_positional], token
+            n_positional += 1
+        else:
+            raise ValueError(f"family: {name} takes at most {len(order)} parameter(s)")
+        if key in bound:
+            raise ValueError(f"family: parameter {key!r} given twice for {name}")
+        bound[key] = _parse_number(value, spec)
+    return name, bound
 
 
 def _parse_number(text: str, spec: str):
@@ -273,97 +294,6 @@ def _parse_number(text: str, spec: str):
         return float(text)
     except ValueError:
         raise ValueError(f"family: {text!r} is not a number in {spec!r}") from None
-
-
-_FAMILY_PARAM_ORDER = {
-    "ghz": ("n",),
-    "gghz": ("n", "a2"),
-    "w": ("n",),
-    "dicke": ("n", "k"),
-    "basis": ("n", "x"),
-    "uniform": ("n",),
-}
-
-
-def _bind_family_params(name: str, params: dict) -> dict:
-    if name not in _FAMILY_PARAM_ORDER:
-        known = ", ".join(sorted(_FAMILY_PARAM_ORDER))
-        raise ValueError(f"family: unknown family {name!r} (known: {known})")
-    order = _FAMILY_PARAM_ORDER[name]
-    positional = params.get("_positional", [])
-    named = {k: v for k, v in params.items() if k != "_positional"}
-    if len(positional) > len(order):
-        raise ValueError(f"family: {name} takes at most {len(order)} parameter(s)")
-    bound = dict(zip(order, positional))
-    for key, value in named.items():
-        canonical = "a2" if key in ("a", "a2") and "a2" in order else key
-        if canonical not in order:
-            raise ValueError(f"family: {name} has no parameter {key!r}")
-        if canonical in bound:
-            raise ValueError(f"family: parameter {canonical!r} given twice for {name}")
-        bound[canonical] = value
-    return bound
-
-
-def _family_state(name: str, params: dict) -> PureState:
-    bound = _bind_family_params(name, params)
-    if "n" not in bound:
-        raise ValueError(f"family: {name} needs n")
-    n = _as_int(bound["n"], "n")
-    if name == "ghz":
-        return make_family("ghz", n=n)
-    if name == "gghz":
-        if "a2" not in bound:
-            raise ValueError("family: gghz needs a2 (squared weight of |0...0>)")
-        a2 = float(bound["a2"])
-        if not 0.0 <= a2 <= 1.0:
-            raise ValueError(f"family: a2 must lie in [0, 1], got {a2!r}")
-        return make_family("gghz", n=n, a=math.sqrt(a2))
-    if name == "w":
-        return make_family("w", n=n)
-    if name == "dicke":
-        if "k" not in bound:
-            raise ValueError("family: dicke needs k")
-        return make_family("dicke", n=n, k=_as_int(bound["k"], "k"))
-    if name == "basis":
-        if "x" not in bound:
-            raise ValueError("family: basis needs x")
-        return make_family("basis", n=n, x=_as_int(bound["x"], "x"))
-    return make_family("uniform", n=n)
-
-
-def _analytic_dispatch(name: str, params: dict):
-    """Closed-form result plus the concrete state used by --verify."""
-    bound = _bind_family_params(name, params)
-    if name == "ghz":
-        n = _as_int(bound.get("n", 3), "n")
-        return analytic.pmax_gghz(0.5), make_family("ghz", n=n)
-    if name == "gghz":
-        if "a2" not in bound:
-            raise ValueError("family: gghz needs a2")
-        a2 = float(bound["a2"])
-        n = _as_int(bound.get("n", 3), "n")
-        result = analytic.pmax_gghz(a2)  # validates a2 in [0, 1]
-        return result, make_family("gghz", n=n, a=math.sqrt(a2))
-    if name == "w":
-        if "n" not in bound:
-            raise ValueError("family: w needs n")
-        n = _as_int(bound["n"], "n")
-        return analytic.pmax_w(n), make_family("w", n=n)
-    if name == "dicke":
-        if "n" not in bound or "k" not in bound:
-            raise ValueError("family: dicke needs n and k")
-        n, k = _as_int(bound["n"], "n"), _as_int(bound["k"], "k")
-        return analytic.pmax_dicke(n, k), make_family("dicke", n=n, k=k)
-    raise ValueError(f"family: no closed form for {name!r} (known: dicke, gghz, ghz, w)")
-
-
-def _as_int(value, field: str) -> int:
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"family: {field} must be an integer, got {value!r}")
 
 
 # ----------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
+    AMPLITUDE_BUDGET,
     NormalizationError,
     ProductState,
     PureState,
@@ -54,7 +55,6 @@ DEGENERATE_ENV_NORM = 1e-14  # below this the previous factor is kept
 _MONOTONE_SLACK = 1e-12
 _REAL_INPUT_TOL = 1e-12
 _GRID_BUDGET = 10**8  # max number of grid points in the brute-force search
-_START_BUDGET = 2**24  # max n_starts * 2**n elements in one batched solve
 _RETIRE_MARGIN = 1e-9  # floor of the retirement margin max(1e-9, 1000 * tol)
 
 
@@ -355,10 +355,10 @@ def _batched_ascent(
 
 
 def _check_budget(n_starts: int, n: int) -> None:
-    if n_starts * 2**n > _START_BUDGET:
+    if n_starts * 2**n > AMPLITUDE_BUDGET:
         raise ValueError(
             f"n_starts: {n_starts} starts x 2**{n} amplitudes exceeds the "
-            f"{_START_BUDGET}-element budget of the batched solver; use fewer starts"
+            f"{AMPLITUDE_BUDGET}-element budget of the batched solver; use fewer starts"
         )
 
 

@@ -1,4 +1,5 @@
-"""n-qubit pure states, separable ansatz states, and overlap contractions.
+"""n-qubit pure states, the named-family table, separable ansatz states, and
+overlap contractions.
 
 Basis convention: amplitude index x addresses |x0 x1 ... x_{n-1}> with qubit 0
 as the most significant bit, so |0...0> is index 0 and |1...1> is index
@@ -13,16 +14,20 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .analytic import AnalyticResult, pmax_dicke, pmax_gghz, pmax_w
 
 NORM_TOL = 1e-10        # squared-norm slack accepted by constructors
 FACTOR_NORM_TOL = 1e-12  # squared-norm slack for single-qubit factors
 FILE_NORM_TOL = 1e-8    # looser slack accepted when reading state files
 ANGLE_RANGE_EPS = 1e-12
+AMPLITUDE_BUDGET = 2**24  # max amplitudes in one array: a state, or n_starts * 2**n in a solve
 
 _HALF_PI = math.pi / 2.0
 
@@ -216,34 +221,95 @@ def uniform(n: int) -> PureState:
     return PureState(a)
 
 
-_FAMILY_BUILDERS = {
-    "ghz": ghz,
-    "gghz": gghz,
-    "w": w,
-    "dicke": dicke,
-    "basis": basis_state,
-    "uniform": uniform,
+def _gghz_a2(n: int, a2: float) -> PureState:
+    """gghz parametrized by the squared weight a2 of |0...0>, as in specs."""
+    if not 0.0 <= a2 <= 1.0:
+        raise ValueError(f"family: a2 must lie in [0, 1], got {a2!r}")
+    return gghz(n, math.sqrt(a2))
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named state family: its spec parameters in positional order (types
+    in ``_PARAM_TYPES``), a builder taking them by keyword, and the closed-form
+    P_max with the parameters it takes, in order (None where there is none).
+    A closed form that does not take ``n`` is the same at every n >= 2."""
+
+    params: tuple[str, ...]
+    build: Callable[..., PureState]
+    closed_form: Callable[..., AnalyticResult] | None = None
+    closed_form_params: tuple[str, ...] = ()
+
+    def analytic(self, bound: dict) -> AnalyticResult:
+        """The closed form at parameters bound by :func:`family_params`."""
+        return self.closed_form(*(bound[p] for p in self.closed_form_params))
+
+
+_PARAM_TYPES = {"n": int, "a2": float, "k": int, "x": int}
+
+# The one table of named families.  Each closed form is tied here to exactly
+# the state it describes (Wei & Goldbart, PRA 68, 042307, 2003).
+FAMILIES = {
+    "ghz": Family(("n",), ghz, lambda: pmax_gghz(0.5)),
+    "gghz": Family(("n", "a2"), _gghz_a2, pmax_gghz, ("a2",)),
+    "w": Family(("n",), w, pmax_w, ("n",)),
+    "dicke": Family(("n", "k"), dicke, pmax_dicke, ("n", "k")),
+    "basis": Family(("n", "x"), basis_state),
+    "uniform": Family(("n",), uniform),
 }
 
 
-def make_family(name: str, **params) -> PureState:
-    """Build a named family state: ghz, gghz, w, dicke, basis, uniform.
-
-    Parameters are passed by keyword (``n`` always; ``a`` for gghz, ``k`` for
-    dicke, ``x`` for basis).  Out-of-range parameters raise ValueError naming
-    the offending field.
-    """
+def lookup_family(name: str) -> Family:
+    """The registry entry of ``name``; ValueError if there is none."""
     try:
-        builder = _FAMILY_BUILDERS[name]
+        return FAMILIES[name]
     except KeyError:
-        known = ", ".join(sorted(_FAMILY_BUILDERS))
+        known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"family: unknown family {name!r} (known: {known})") from None
-    return builder(**params)
 
 
-def _check_n(n: int, family: str) -> None:
+def family_params(name: str, **params) -> dict:
+    """Check every parameter of family ``name`` without building the state:
+    coerce it to its type (integer-valued floats to int) and check n's size.
+    Errors are ValueErrors naming the offending field."""
+    entry = lookup_family(name)
+    for key in params:
+        if key not in entry.params:
+            raise ValueError(f"family: {name} has no parameter {key!r}")
+    missing = [p for p in entry.params if p not in params]
+    if missing:
+        raise ValueError(f"family: {name} needs {' and '.join(missing)}")
+    bound = {p: _coerce(p, params[p]) for p in entry.params}
+    _check_n(bound["n"], name)
+    return bound
+
+
+def make_family(name: str, **params) -> PureState:
+    """Build a family state of :data:`FAMILIES` from keyword parameters:
+    ghz(n), gghz(n, a2) with a2 the squared weight of |0...0>, w(n),
+    dicke(n, k), basis(n, x) or uniform(n), checked by :func:`family_params`."""
+    return lookup_family(name).build(**family_params(name, **params))
+
+
+def _coerce(field: str, value):
+    if _PARAM_TYPES[field] is float:
+        return float(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"family: {field} must be an integer, got {value!r}") from None
+
+
+def _check_n(n: int, name: str) -> None:
     if n < 1:
-        raise ValueError(f"{family}: n must be >= 1, got {n!r}")
+        raise ValueError(f"{name}: n must be >= 1, got {n!r}")
+    if n > math.log2(AMPLITUDE_BUDGET):  # 2**n itself could be a huge integer
+        raise ValueError(
+            f"{name}: n = {n} needs 2**{n} amplitudes, above the "
+            f"{AMPLITUDE_BUDGET}-element budget"
+        )
 
 
 # ----------------------------------------------------------------------------

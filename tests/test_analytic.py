@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from groverian import (
+    FAMILIES,
     SolverConfig,
     dicke,
     gghz,
@@ -16,6 +17,7 @@ from groverian import (
     pmax_w,
     w,
 )
+from groverian.states import family_params
 
 
 class TestGGHZ:
@@ -123,3 +125,24 @@ class TestSolverAgreement:
             for k in range(0, n + 1):
                 solved = pmax_alternating(dicke(n, k)).pmax
                 assert abs(solved - pmax_dicke(n, k).pmax) < 1e-7, (n, k)
+
+
+class TestRegistry:
+    # One point per family with a closed form: the form must describe the
+    # state its own table entry builds, as the solver finds it.
+    SAMPLES = {
+        "ghz": {"n": 4},
+        "gghz": {"n": 3, "a2": 0.3},
+        "w": {"n": 5},
+        "dicke": {"n": 5, "k": 2},
+    }
+
+    def test_every_closed_form_is_sampled(self):
+        assert set(self.SAMPLES) == {name for name, f in FAMILIES.items() if f.closed_form}
+
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_closed_form_matches_the_built_state(self, name):
+        entry = FAMILIES[name]
+        bound = family_params(name, **self.SAMPLES[name])
+        solved = pmax_alternating(entry.build(**bound)).pmax
+        assert abs(solved - entry.analytic(bound).pmax) < 1e-9

@@ -2,10 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from groverian import ghz, random_state, save_state_json
+from groverian import ghz, pmax_w, random_state, save_state_json
 from groverian.cli import main
 
 import numpy as np
@@ -75,6 +76,69 @@ class TestAnalyticCommand:
         code, _, err = run_cli(capsys, "analytic", "--family", "cluster:n=4")
         assert code == 2
         assert "family" in err
+
+    def test_without_verify_builds_no_state(self, capsys):
+        tracemalloc.start()
+        try:
+            payload = run_json(capsys, "analytic", "--family", "w:n=20")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload["pmax"] == pytest.approx(pmax_w(20).pmax, abs=1e-12)
+        assert peak < 2**20  # the n = 20 state alone holds 16 MiB
+
+
+GGHZ_HALF = (0.5, "gghz(a_sq=0.5)")
+
+# Each row: spec, then the outcome of pmax, analytic and analytic --verify
+# (with --seeds 8): a nonzero exit code, or on success the pmax field (and
+# the family_label field for analytic).
+FAMILY_SPEC_MATRIX = [
+    ("ghz", 2, GGHZ_HALF, GGHZ_HALF),
+    ("ghz:3.0", 0.5, GGHZ_HALF, GGHZ_HALF),
+    ("ghz:3.5", 2, 2, 2),
+    ("ghz:0", 2, 2, 2),
+    ("GHZ:3", 0.5, GGHZ_HALF, GGHZ_HALF),
+    ("gghz:3,a=0.64", 0.64, (0.64, "gghz(a_sq=0.64)"), (0.64, "gghz(a_sq=0.64)")),
+    ("gghz:5,0.3", 0.7, (0.7, "gghz(a_sq=0.3)"), (0.7, "gghz(a_sq=0.3)")),
+    ("gghz:a2=0.5", 2, GGHZ_HALF, GGHZ_HALF),
+    ("gghz:a2=0.5,3", 0.5, GGHZ_HALF, GGHZ_HALF),
+    ("gghz:3,a2=1.5", 2, 2, 2),
+    ("w", 2, 2, 2),
+    ("w:1", 1.0, 2, 2),
+    ("w:4,5", 2, 2, 2),
+    ("dicke:4", 2, 2, 2),
+    ("dicke:4,k=2.0", 0.375, (0.375, "dicke(n=4, k=2)"), (0.375, "dicke(n=4, k=2)")),
+    ("basis:3,5", 1.0, 2, 2),
+    ("uniform:3", 1.0, 2, 2),
+    ("cluster:n=4", 2, 2, 2),
+    ("ghz:3,n=3", 2, 2, 2),
+    ("dicke:4,2,k=2", 2, 2, 2),
+    ("gghz:3,a2=0.2,a2=0.3", 2, 2, 2),
+    ("gghz:3,a=0.2,a2=0.3", 2, 2, 2),
+]
+MODES = (("pmax",), ("analytic",), ("analytic", "--verify"))
+
+
+@pytest.mark.parametrize(
+    "mode,spec,expected",
+    [
+        pytest.param(mode, row[0], outcome, id=f"{' '.join(mode)} {row[0]}")
+        for row in FAMILY_SPEC_MATRIX
+        for mode, outcome in zip(MODES, row[1:])
+    ],
+)
+def test_family_spec_matrix(capsys, mode, spec, expected):
+    code, out, err = run_cli(capsys, *mode, "--family", spec, *FAST)
+    if isinstance(expected, int):
+        assert code == expected, err
+        return
+    assert code == 0, err
+    payload = json.loads(out)
+    if mode == ("pmax",):
+        assert payload["pmax"] == pytest.approx(expected, abs=1e-11)
+    else:
+        assert (payload["pmax"], payload["family_label"]) == pytest.approx(expected, abs=1e-11)
 
 
 class TestRefuteCommand:
@@ -154,6 +218,20 @@ class TestExitCodes:
     def test_missing_state_source_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "pmax")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmax", "--family", "ghz:40"],
+            ["analytic", "--family", "ghz:40"],  # checked although no state is built
+            ["analytic", "--family", "gghz:40,a2=0.5"],
+            ["grover-trace", "--n", "40", "--marked", "0", "--output", "/nonexistent-dir/trace.csv"],
+        ],
+    )
+    def test_register_above_budget_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "budget" in err
 
     def test_bad_family_parameter_exits_2(self, capsys):
         for spec in ("gghz:3,a2=nope", "dicke:4", "w:", "gghz:3,a2=0.2,a2=0.3", "w:4,5"):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from groverian.states import FAMILIES
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "groverian"
 
 
@@ -32,3 +34,30 @@ def test_imports_only_stdlib_numpy_and_itself(path):
             found.append((node.lineno, node.module))
     bad = [(line, name) for line, name in found if name.split(".")[0] not in allowed]
     assert bad == [], f"{path.name}: imports outside stdlib, numpy and groverian: {bad}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "states.py"),
+    ids=lambda p: p.name,
+)
+def test_family_names_only_in_the_registry(path):
+    # states.FAMILIES is the one family table; a family name spelled out in
+    # another module is a second table that can drift from it.  __init__.py's
+    # __all__ may name the public builders.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = {id(c) for c in ast.walk(node.value)}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value in FAMILIES
+        and id(node) not in exported
+    ]
+    assert lines == [], f"{path.name}: family names outside the registry at lines {lines}"

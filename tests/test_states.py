@@ -32,7 +32,7 @@ from groverian import (
     uniform,
     w,
 )
-from groverian.states import batch_environment, batch_overlap
+from groverian.states import AMPLITUDE_BUDGET, batch_environment, batch_overlap, family_params
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -85,17 +85,61 @@ class TestFamilies:
             ("dicke", {"n": 4, "k": 5}, "k"),
             ("basis", {"n": 3, "x": 8}, "x"),
             ("nosuch", {"n": 3}, "family"),
+            ("gghz", {"n": 3, "a": 0.8}, "no parameter 'a'"),  # a spec alias, not a parameter
+            ("gghz", {"n": 3, "a2": 1.5}, "a2 must lie"),
+            ("gghz", {"n": 3}, "needs a2"),
+            ("dicke", {"k": 2}, "needs n"),
+            ("dicke", {"n": 4, "k": 2.5}, "k must be an integer"),
+            ("ghz", {"n": "3"}, "n must be an integer"),
         ],
     )
     def test_errors_name_the_offending_field(self, name, params, field):
         with pytest.raises(ValueError, match=field):
             make_family(name, **params)
 
+    def test_make_family_takes_the_spec_parameters(self):
+        np.testing.assert_array_equal(
+            make_family("gghz", n=3, a2=0.64).amplitudes, gghz(3, a=0.8).amplitudes
+        )
+        np.testing.assert_array_equal(
+            make_family("dicke", n=4.0, k=2.0).amplitudes, dicke(4, 2).amplitudes
+        )
+        np.testing.assert_array_equal(
+            make_family("basis", n=np.int64(3), x=5).amplitudes, basis_state(3, 5).amplitudes
+        )
+
     def test_all_families_are_normalized(self):
         states = [ghz(4), gghz(5, a=0.3), w(5), dicke(5, 3), basis_state(4, 9), uniform(4)]
         for psi in states:
             assert abs(np.sum(np.abs(psi.amplitudes) ** 2) - 1.0) <= 1e-10
             assert psi.is_real()
+
+
+class TestStateSizeBudget:
+    # 2**40 amplitudes cannot be allocated, so each builder must refuse n = 40
+    # before it tries, with an error naming n and the budget.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ghz(40),
+            lambda: gghz(40, a=0.6),
+            lambda: w(40),
+            lambda: dicke(40, 1),
+            lambda: basis_state(40, 0),
+            lambda: uniform(40),
+            lambda: random_state(40, np.random.default_rng(0)),
+            lambda: make_family("w", n=40),
+        ],
+    )
+    def test_builders_refuse_before_allocating(self, build):
+        with pytest.raises(ValueError, match="n = 40") as err:
+            build()
+        assert f"{AMPLITUDE_BUDGET}-element budget" in str(err.value)
+
+    def test_boundary_checked_without_building(self):
+        assert family_params("w", n=24) == {"n": 24}
+        with pytest.raises(ValueError, match="budget"):
+            family_params("w", n=25)
 
 
 class TestConstruction:
