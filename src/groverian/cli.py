@@ -1,10 +1,16 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each accepting only the flags it reads (the solver flags are
+--seeds, --tol, --max-sweeps, --rng-seed and --restriction, checked even when
+nothing is solved):
   pmax          numerical best product-state overlap of a state
+                (--family, or --file with --normalize; solver flags, --format)
   analytic      closed-form values for the symmetric families
-  refute        angle-substitution analysis report
+                (--family, --verify; solver flags, --format)
+  refute        angle-substitution analysis report, JSON only
+                (--resolution, --eps, --identity-samples, --rng-seed)
   grover-trace  Grover search trace with per-iteration entanglement
+                (--n, --marked, --iterations, --output; solver flags)
 
 States come from ``--family name:params`` (params positional or key=value,
 e.g. ``ghz:3``, ``gghz:3,a2=0.64``, ``dicke:n=4,k=2``) or from a JSON file
@@ -20,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import refutation
@@ -42,15 +47,6 @@ EXIT_NORMALIZATION = 3
 EXIT_IO = 4
 
 _RESTRICTION_FLAG = {"full": "full_bloch", "real": "real_plane"}
-
-
-@dataclass(frozen=True)
-class CommonOptions:
-    """Validated per-run options shared by the subcommands."""
-
-    solver: SolverConfig
-    fmt: str
-    normalize: bool
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,9 +77,8 @@ def entrypoint() -> None:
 # ----------------------------------------------------------------------------
 
 def _cmd_pmax(args: argparse.Namespace) -> int:
-    opts = _common_options(args)
-    psi = _load_state(args, opts)
-    result = pmax_alternating(psi, opts.solver)
+    solver = _solver_config(args)
+    result = pmax_alternating(_load_state(args), solver)
     payload = {
         "pmax": result.pmax,
         "groverian": math.sqrt(max(0.0, 1.0 - result.pmax)),
@@ -94,7 +89,7 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
             for f in result.optimizer.factors
         ],
     }
-    if opts.fmt == "csv":
+    if args.fmt == "csv":
         _emit_csv_row(
             ("pmax", "groverian", "converged", "sweeps_used"),
             (payload["pmax"], payload["groverian"], payload["converged"], payload["sweeps_used"]),
@@ -105,7 +100,7 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    opts = _common_options(args)
+    solver = _solver_config(args)  # checked even without --verify
     name, params = _parse_family_spec(args.family)
     entry = FAMILIES[name]
     if entry.closed_form is None:
@@ -122,10 +117,10 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         "separable": result.separable,
     }
     if args.verify:
-        solver_pmax = pmax_alternating(entry.build(**bound), opts.solver).pmax
+        solver_pmax = pmax_alternating(entry.build(**bound), solver).pmax
         payload["solver_pmax"] = solver_pmax
         payload["verify_abs_diff"] = abs(solver_pmax - result.pmax)
-    if opts.fmt == "csv":
+    if args.fmt == "csv":
         _emit_csv_row(tuple(payload.keys()), tuple(payload.values()))
     else:
         _emit_json(payload)
@@ -133,26 +128,23 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    opts = _common_options(args)
-    if opts.fmt == "csv":
-        raise ValueError("refute: the report is nested and only supports --format json")
+    SolverConfig(rng_seed=args.rng_seed)  # the seed range every subcommand checks
     report = refutation.refutation_report(
         grid_resolution=args.resolution,
         eps=args.eps,
         identity_samples=args.identity_samples,
-        rng_seed=opts.solver.rng_seed,
+        rng_seed=args.rng_seed,
     )
     _emit_json(report)
     return EXIT_OK
 
 
 def _cmd_grover_trace(args: argparse.Namespace) -> int:
-    opts = _common_options(args)
     cfg = GroverConfig(
         n_qubits=args.n,
         marked_index=args.marked,
         iterations=args.iterations,
-        solver=opts.solver,
+        solver=_solver_config(args),
     )
     rows = run_trace(cfg)
     Path(args.output).write_text(trace_to_csv(rows))
@@ -176,21 +168,20 @@ def _cmd_grover_trace(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seeds", type=int, default=32, metavar="N",
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--seeds", type=int, default=32, metavar="N",
                         help="number of solver starts (default 32)")
-    common.add_argument("--tol", type=float, default=1e-12,
+    solver.add_argument("--tol", type=float, default=1e-12,
                         help="solver convergence threshold per sweep (default 1e-12)")
-    common.add_argument("--max-sweeps", type=int, default=500,
+    solver.add_argument("--max-sweeps", type=int, default=500,
                         help="solver sweep cap per start (default 500)")
-    common.add_argument("--rng-seed", type=int, default=0,
-                        help="seed for every random draw (default 0)")
-    common.add_argument("--restriction", choices=sorted(_RESTRICTION_FLAG), default="full",
+    solver.add_argument("--rng-seed", type=int, default=0,
+                        help="seed of the solver's random starts (default 0)")
+    solver.add_argument("--restriction", choices=sorted(_RESTRICTION_FLAG), default="full",
                         help="solver start distribution (default full)")
-    common.add_argument("--normalize", action="store_true",
-                        help="renormalize states read from files")
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
-                        help="stdout format (default json)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                     help="stdout format (default json)")
 
     parser = argparse.ArgumentParser(
         prog="groverian",
@@ -198,14 +189,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pmax", parents=[common],
+    p = sub.add_parser("pmax", parents=[solver, fmt],
                        help="numerically maximize squared product-state overlap")
+    p.add_argument("--normalize", action="store_true", help="renormalize the --file state")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--family", help="state family spec, e.g. ghz:3 or gghz:3,a2=0.64")
     src.add_argument("--file", help="JSON state file path")
     p.set_defaults(handler=_cmd_pmax)
 
-    p = sub.add_parser("analytic", parents=[common],
+    p = sub.add_parser("analytic", parents=[solver, fmt],
                        help="closed-form values for the ghz/gghz/w/dicke families")
     p.add_argument("--family", required=True,
                    help="family spec, e.g. gghz:a2=0.5, w:n=5, dicke:n=4,k=2")
@@ -213,8 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cross-check the closed form against the solver")
     p.set_defaults(handler=_cmd_analytic)
 
-    p = sub.add_parser("refute", parents=[common],
-                       help="angle-substitution stationarity analysis report")
+    p = sub.add_parser("refute", help="angle-substitution stationarity analysis report")
+    p.add_argument("--rng-seed", type=int, default=0,
+                   help="seed of the identity check's random triples (default 0)")
     p.add_argument("--resolution", type=int, default=181,
                    help="t3 grid points for the true maximum (default 181)")
     p.add_argument("--eps", type=float, default=1e-8,
@@ -224,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="random triples for the rewrite identity check (default 1e5)")
     p.set_defaults(handler=_cmd_refute)
 
-    p = sub.add_parser("grover-trace", parents=[common],
+    p = sub.add_parser("grover-trace", parents=[solver],
                        help="run Grover search, tracing entanglement per iteration")
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--marked", type=int, required=True, help="marked basis index")
@@ -235,22 +228,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common_options(args: argparse.Namespace) -> CommonOptions:
-    solver = SolverConfig(
+def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    return SolverConfig(
         n_starts=args.seeds,
         max_sweeps=args.max_sweeps,
         tol=args.tol,
         rng_seed=args.rng_seed,
         restriction=_RESTRICTION_FLAG[args.restriction],
     )
-    return CommonOptions(solver=solver, fmt=args.fmt, normalize=args.normalize)
 
 
-def _load_state(args: argparse.Namespace, opts: CommonOptions) -> PureState:
+def _load_state(args: argparse.Namespace) -> PureState:
     if args.family is not None:
         name, params = _parse_family_spec(args.family)
         return make_family(name, **params)
-    return load_state_json(args.file, normalize=opts.normalize)
+    return load_state_json(args.file, normalize=args.normalize)
 
 
 def _parse_family_spec(spec: str) -> tuple[str, dict]:

@@ -15,12 +15,13 @@ falls again as the state approaches the marked basis state.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .solver import SolverConfig, pmax_alternating
-from .states import PureState, uniform
+from .states import PureState, _check_n, uniform
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,7 @@ class GroverConfig:
     def __post_init__(self) -> None:
         if self.n_qubits < 2:
             raise ValueError(f"n_qubits: must be >= 2, got {self.n_qubits!r}")
+        _check_n(self.n_qubits, "n_qubits")  # before any 2**n
         if not 0 <= self.marked_index < 2**self.n_qubits:
             raise ValueError(
                 f"marked_index: must lie in [0, {2**self.n_qubits}), got {self.marked_index!r}"
@@ -93,18 +95,22 @@ def success_probability_closed_form(n: int, k: int) -> float:
 
 def iterate_states(n_qubits: int, marked: int, iterations: int) -> list[PureState]:
     """States after 0..iterations Grover iterations, starting from uniform."""
+    return list(_iterates(n_qubits, marked, iterations))
+
+
+def _iterates(n_qubits: int, marked: int, iterations: int) -> Iterator[PureState]:
     psi = uniform(n_qubits)
-    states = [psi]
+    yield psi
     for _ in range(iterations):
         psi = diffusion_apply(oracle_apply(psi, marked))
-        states.append(psi)
-    return states
+        yield psi
 
 
 def run_trace(cfg: GroverConfig) -> list[TraceRow]:
-    """One row per iterate (row 0 is the pre-iteration uniform state)."""
+    """One row per iterate (row 0 is the pre-iteration uniform state).  Each
+    iterate is built from the previous one and dropped once it is solved."""
     rows = []
-    for k, psi in enumerate(iterate_states(cfg.n_qubits, cfg.marked_index, cfg.resolved_iterations())):
+    for k, psi in enumerate(_iterates(cfg.n_qubits, cfg.marked_index, cfg.resolved_iterations())):
         pmax = pmax_alternating(psi, cfg.solver).pmax
         rows.append(
             TraceRow(

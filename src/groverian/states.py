@@ -198,9 +198,11 @@ def dicke(n: int, k: int) -> PureState:
     _check_n(n, "dicke")
     if not 0 <= k <= n:
         raise ValueError(f"dicke: k must lie in [0, {n}], got {k!r}")
-    idx = [x for x in range(2**n) if bin(x).count("1") == k]
+    weight = np.zeros(1, dtype=np.uint8)  # Hamming weight of each index, by doubling
+    for _ in range(n):
+        weight = np.concatenate((weight, weight + 1))
     a = np.zeros(2**n, dtype=np.complex128)
-    a[idx] = 1.0 / math.sqrt(len(idx))
+    a[weight == k] = 1.0 / math.sqrt(math.comb(n, k))
     return PureState(a)
 
 
@@ -241,7 +243,10 @@ class Family:
     closed_form_params: tuple[str, ...] = ()
 
     def analytic(self, bound: dict) -> AnalyticResult:
-        """The closed form at parameters bound by :func:`family_params`."""
+        """The closed form at parameters bound by :func:`family_params`; one
+        that does not take ``n`` holds only for n >= 2."""
+        if "n" not in self.closed_form_params and bound["n"] < 2:
+            raise ValueError(f"family: the closed form needs n >= 2, got n = {bound['n']}")
         return self.closed_form(*(bound[p] for p in self.closed_form_params))
 
 
@@ -477,8 +482,9 @@ def state_from_dict(data: dict, normalize: bool = False) -> PureState:
         entries = data["amplitudes"]
     except (KeyError, TypeError):
         raise ValueError('state file: required keys are "n" and "amplitudes"') from None
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"state file: n must be a positive integer, got {n!r}")
+    _check_n(n, "state file")  # before any 2**n
     if not isinstance(entries, list) or len(entries) != 2**n:
         raise ValueError(
             f"state file: expected {2**n} amplitude entries for n={n}, "

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from groverian import ghz, pmax_w, random_state, save_state_json
-from groverian.cli import main
+from groverian.cli import _build_parser, main
 
 import numpy as np
 
@@ -116,6 +116,8 @@ FAMILY_SPEC_MATRIX = [
     ("dicke:4,2,k=2", 2, 2, 2),
     ("gghz:3,a2=0.2,a2=0.3", 2, 2, 2),
     ("gghz:3,a=0.2,a2=0.3", 2, 2, 2),
+    ("ghz:1", 1.0, 2, 2),  # a product state: the GHZ closed form needs n >= 2
+    ("gghz:1,0.5", 1.0, 2, 2),
 ]
 MODES = (("pmax",), ("analytic",), ("analytic", "--verify"))
 
@@ -153,7 +155,7 @@ class TestRefuteCommand:
     def test_csv_rejected(self, capsys):
         code, _, err = run_cli(capsys, "refute", "--format", "csv")
         assert code == 2
-        assert "json" in err
+        assert "--format" in err
 
 
 class TestGroverTraceCommand:
@@ -226,6 +228,7 @@ class TestExitCodes:
             ["analytic", "--family", "ghz:40"],  # checked although no state is built
             ["analytic", "--family", "gghz:40,a2=0.5"],
             ["grover-trace", "--n", "40", "--marked", "0", "--output", "/nonexistent-dir/trace.csv"],
+            ["grover-trace", "--n", "20000", "--marked", "0", "--output", "/nonexistent-dir/trace.csv"],
         ],
     )
     def test_register_above_budget_exits_2(self, capsys, argv):
@@ -237,6 +240,49 @@ class TestExitCodes:
         for spec in ("gghz:3,a2=nope", "dicke:4", "w:", "gghz:3,a2=0.2,a2=0.3", "w:4,5"):
             code, _, _ = run_cli(capsys, "pmax", "--family", spec)
             assert code == 2, spec
+
+
+SOLVER_FLAGS = {"--seeds", "--tol", "--max-sweeps", "--rng-seed", "--restriction"}
+
+
+class TestFlagSurface:
+    def test_each_subcommand_has_only_the_flags_it_reads(self):
+        subparsers = next(a for a in _build_parser()._actions if a.choices)
+        options = {
+            name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+            for name, p in subparsers.choices.items()
+        }
+        assert options == {
+            "pmax": SOLVER_FLAGS | {"--format", "--normalize", "--family", "--file"},
+            "analytic": SOLVER_FLAGS | {"--format", "--family", "--verify"},
+            "refute": {"--rng-seed", "--resolution", "--eps", "--identity-samples"},
+            "grover-trace": SOLVER_FLAGS | {"--n", "--marked", "--iterations", "--output"},
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grover-trace", "--n", "3", "--marked", "0", "--output", "trace.csv", "--format", "csv"],
+            ["refute", "--seeds", "4"],
+            ["refute", "--normalize"],
+            ["analytic", "--family", "w:5", "--normalize"],
+        ],
+    )
+    def test_flag_of_another_subcommand_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analytic", "--family", "w:5", "--seeds", "0"],  # checked without --verify
+            ["refute", "--rng-seed", "-1", "--identity-samples", "10"],
+        ],
+    )
+    def test_unused_flag_is_still_checked(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, err
 
 
 class TestDeterminismAndRoundTrip:

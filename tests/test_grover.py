@@ -1,6 +1,7 @@
 """Grover iteration primitives and the entanglement trace."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,9 +120,23 @@ class TestRunTrace:
         assert len(rows) == 1
         assert rows[0].groverian < 1e-6
 
+    def test_iterates_are_not_all_held(self):
+        # 101 iterates of 0.25 MiB each; only a few may be alive at once
+        cfg = GroverConfig(14, 3, iterations=100, solver=SolverConfig(n_starts=1))
+        tracemalloc.start()
+        try:
+            rows = run_trace(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 101
+        assert peak < 4 * 2**20
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n_qubits"):
             GroverConfig(1, 0)
+        with pytest.raises(ValueError, match="budget"):
+            GroverConfig(20000, 0)
         with pytest.raises(ValueError, match="marked_index"):
             GroverConfig(3, 8)
         with pytest.raises(ValueError, match="iterations"):

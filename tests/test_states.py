@@ -1,5 +1,6 @@
 """Construction, contraction, and file-format tests for the state types."""
 
+import itertools
 import json
 import math
 
@@ -72,6 +73,12 @@ class TestFamilies:
         assert [bin(int(x)).count("1") for x in idx] == [2] * 6
         np.testing.assert_allclose(a[idx], 1.0 / math.sqrt(6.0))
         np.testing.assert_array_equal(dicke(4, 1).amplitudes, w(4).amplitudes)
+        for n in range(1, 11):
+            for k in range(n + 1):
+                support = [sum(1 << j for j in c) for c in itertools.combinations(range(n), k)]
+                reference = np.zeros(2**n, dtype=np.complex128)
+                reference[support] = 1.0 / math.sqrt(len(support))
+                assert np.array_equal(dicke(n, k).amplitudes, reference), (n, k)
 
     def test_basis_and_uniform(self):
         assert basis_state(3, 5).amplitudes[5] == 1.0
@@ -389,6 +396,15 @@ class TestStateFile:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="entries"):
             state_from_dict({"n": 2, "amplitudes": [[1.0, 0.0]] * 3})
+
+    def test_rejects_n_above_budget_before_sizing(self):
+        # 2**20000 would take seconds to print; the budget check comes first
+        with pytest.raises(ValueError, match=f"{AMPLITUDE_BUDGET}-element budget"):
+            state_from_dict({"n": 20000, "amplitudes": []})
+
+    def test_rejects_bool_n(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            state_from_dict({"n": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
 
     def test_rejects_malformed_entries(self):
         with pytest.raises(ValueError, match="amplitudes"):
