@@ -240,6 +240,8 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 def _load_state(args: argparse.Namespace) -> PureState:
     if args.family is not None:
+        if args.normalize:
+            raise ValueError("--normalize needs --file (family states are built normalized)")
         name, params = _parse_family_spec(args.family)
         return make_family(name, **params)
     return load_state_json(args.file, normalize=args.normalize)

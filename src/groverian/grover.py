@@ -59,6 +59,8 @@ class TraceRow:
 
 TRACE_CSV_HEADER = "iteration,success_probability,pmax,groverian"
 
+_MAX_ITERATIONS_N = 2046  # largest n for which (2k+1) * theta stays a finite float
+
 
 def oracle_apply(psi: PureState, marked: int) -> PureState:
     """Flip the sign of the marked basis amplitude."""
@@ -78,9 +80,12 @@ def diffusion_apply(psi: PureState) -> PureState:
 
 
 def optimal_iterations(n: int) -> int:
-    """Iteration count maximizing sin((2k+1) theta)**2 near pi/(4 theta) - 1/2."""
-    if n < 2:
-        raise ValueError(f"n: must be >= 2, got {n!r}")
+    """Iteration count maximizing sin((2k+1) theta)**2 near pi/(4 theta) - 1/2.
+
+    Supports 2 <= n <= 2046: from n = 2047 on, (2k+1) * theta overflows a
+    float, and from n = 2150 on theta itself underflows to 0."""
+    if not 2 <= n <= _MAX_ITERATIONS_N:
+        raise ValueError(f"n: must lie in [2, {_MAX_ITERATIONS_N}], got {n!r}")
     theta = math.asin(2.0 ** (-n / 2.0))
     k0 = round(math.pi / (4.0 * theta) - 0.5)
     candidates = [k for k in (k0 - 1, k0, k0 + 1) if k >= 0]

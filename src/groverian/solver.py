@@ -31,6 +31,7 @@ converged start would have climbed past the best afterwards (see
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ DEGENERATE_ENV_NORM = 1e-14  # below this the previous factor is kept
 _MONOTONE_SLACK = 1e-12
 _REAL_INPUT_TOL = 1e-12
 _GRID_BUDGET = 10**8  # max number of grid points in the brute-force search
+_GRID_BLOCK = 2**16  # grid points (512 KiB) per block of the search's last contraction
 _RETIRE_MARGIN = 1e-9  # floor of the retirement margin max(1e-9, 1000 * tol)
 
 
@@ -186,7 +188,9 @@ def pmax_gridsearch(psi: PureState, resolution: int) -> float:
 
     Maximizes :func:`objective_real` over the full grid with ``resolution``
     points per angle on [-pi/2, pi/2].  Within O(spacing**2) of the true
-    maximum for smooth objectives; memory grows as resolution**n (guarded).
+    maximum for smooth objectives.  Time grows as resolution**n (guarded by
+    ``_GRID_BUDGET``); memory is about 2 * resolution**(n-1) elements, since
+    the last contraction is maximized block by block in a fixed buffer.
     """
     if resolution < 3:
         raise ValueError(f"resolution: must be >= 3, got {resolution!r}")
@@ -199,11 +203,24 @@ def pmax_gridsearch(psi: PureState, resolution: int) -> float:
     a = _real_amplitudes(psi).reshape((2,) * n)
     thetas = np.linspace(-math.pi / 2, math.pi / 2, resolution)
     c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)  # (resolution, 2)
-    for _ in range(n):
+    for _ in range(n - 1):
         a = np.tensordot(a, c, axes=([0], [1]))
-    # Squaring is monotone in |a|, so this equals max(a * a) bit for bit
-    # without allocating a second grid-sized array.
-    m = max(float(a.max()), -float(a.min()))
+    # The last contraction is the product tensordot would form, the
+    # (resolution**(n-1), 2) view of a times c.T, taken one block of rows at
+    # a time into one buffer, so no resolution**n array exists.  Every block
+    # has at least two rows: a one-row block becomes a matrix-vector product,
+    # which can round differently.
+    a = np.moveaxis(a, 0, -1).reshape(-1, 2)
+    rows = a.shape[0]
+    step = max(2, _GRID_BLOCK // resolution)
+    edges = [*range(0, max(rows - 1, 1), step), rows]
+    buf = np.empty((min(rows, step + 1), resolution))
+    m = 0.0
+    for lo, hi in itertools.pairwise(edges):
+        blk = np.dot(a[lo:hi], c.T, out=buf[: hi - lo])
+        # Squaring is monotone in |blk|, so this equals max(a * a) bit for
+        # bit without squaring anything.
+        m = max(m, float(blk.max()), -float(blk.min()))
     return m * m
 
 

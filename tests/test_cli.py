@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,24 @@ class TestRefuteCommand:
         assert code == 2
         assert "--format" in err
 
+    def test_identity_samples_cost_constant_memory(self):
+        # The child's peak RSS is read by an intermediate process, so that no
+        # earlier child of the test process counts.  Building all 10**6
+        # samples at once peaked near 120 MB; streaming them needs about 35.
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        probe = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'groverian', 'refute',"
+            " '--identity-samples', '1000000'], check=True, stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 80 * 1024  # ru_maxrss is in KiB on Linux
+
 
 class TestGroverTraceCommand:
     def test_trace_file_and_summary(self, capsys, tmp_path):
@@ -216,6 +238,12 @@ class TestExitCodes:
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "pmax", "--family", "ghz:3", "--frobnicate")
         assert code == 2
+
+    def test_normalize_with_family_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "pmax", "--family", "ghz:3", "--normalize")
+        assert code == 2
+        assert out == ""
+        assert "--normalize needs --file" in err
 
     def test_missing_state_source_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "pmax")

@@ -76,6 +76,16 @@ class TestOptimalIterations:
         with pytest.raises(ValueError, match="n"):
             optimal_iterations(1)
 
+    def test_largest_supported_register(self):
+        theta = math.asin(2.0**-1023)
+        assert abs(optimal_iterations(2046) - (math.pi / (4.0 * theta) - 0.5)) <= 1
+
+    @pytest.mark.parametrize("n", [2047, 20000])
+    def test_refuses_registers_past_float_range(self, n):
+        # (2k+1) * theta overflows from n = 2047; theta is 0 from n = 2150.
+        with pytest.raises(ValueError, match=rf"n: must lie in \[2, 2046\], got {n}"):
+            optimal_iterations(n)
+
 
 class TestIterateStates:
     @pytest.mark.parametrize("n,marked", [(3, 5), (5, 7)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from groverian import (
     substitution_identity_check,
     transform_to_wxyz,
 )
+from groverian.refutation import _objective3, _objective4
 
 PI = math.pi
 Q = math.pi / 4.0
@@ -150,6 +152,31 @@ class TestObjectives:
     def test_identity_check_validates_samples(self):
         with pytest.raises(ValueError, match="samples"):
             substitution_identity_check(0)
+
+
+def one_shot_identity_check(samples, rng_seed):
+    """The identity check with every sample drawn at once."""
+    rng = np.random.default_rng(rng_seed)
+    t1, t2, t3 = rng.uniform(-PI / 2, PI / 2, size=(samples, 3)).T
+    obj3 = _objective3(t1, t2, t3)
+    obj4 = _objective4(t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3)
+    return float(np.max(np.abs(obj3 - obj4)))
+
+
+class TestStreamedIdentityCheck:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 3 * 4096 + 17, 10**5])
+    def test_equals_the_one_shot_check(self, samples, seed):
+        assert substitution_identity_check(samples, seed) == one_shot_identity_check(samples, seed)
+
+    def test_memory_does_not_grow_with_samples(self):
+        tracemalloc.start()
+        try:
+            substitution_identity_check(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # the one-shot check peaks near 80 MiB
 
 
 class TestJVector:

@@ -463,17 +463,46 @@ class TestGridSearch:
             assert pmax_gridsearch(psi, 61) <= schmidt_pmax_2qubit(psi) + 1e-12
 
     def test_equals_the_maximum_of_the_squared_grid(self):
-        # max(a.max(), -a.min())**2 must equal max(a * a) bit for bit.
+        # The blocked max(a.max(), -a.min())**2 must equal max(a * a) over
+        # the full grid bit for bit.  At n = 3 and 4, resolutions 57 and 61
+        # leave a short last block of rows.
         rng = np.random.default_rng(61)
         states = [ghz(3), w(3), dicke(3, 1), gghz(3, a=0.8), uniform(3), basis_state(3, 5)]
-        states += [random_state(n, rng, real=True) for n in (3, 4) for _ in range(10)]
-        thetas = np.linspace(-math.pi / 2, math.pi / 2, 61)
+        states += [random_state(n, rng, real=True) for n in (2, 3, 4) for _ in range(6)]
+        for resolution in (9, 21, 57, 61):
+            thetas = np.linspace(-math.pi / 2, math.pi / 2, resolution)
+            c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+            for psi in states:
+                a = psi.amplitudes.real.reshape((2,) * psi.n_qubits)
+                for _ in range(psi.n_qubits):
+                    a = np.tensordot(a, c, axes=([0], [1]))
+                squared = np.multiply(a, a, out=a)  # in place: 110 MB at n = 4, 61
+                assert pmax_gridsearch(psi, resolution) == float(np.max(squared))
+
+    def test_one_row_tail_joins_the_block_before_it(self):
+        # At n = 2 and resolution 571 the blocks hold 114 rows, which leaves
+        # the last row (t0 = pi/2) over; a one-row block rounds differently.
+        # With qubit 0 in |1> the maximum lies in that row (tied with row 0).
+        rng = np.random.default_rng(571)
+        thetas = np.linspace(-math.pi / 2, math.pi / 2, 571)
         c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        for psi in states:
-            a = psi.amplitudes.real.reshape((2,) * psi.n_qubits)
-            for _ in range(psi.n_qubits):
-                a = np.tensordot(a, c, axes=([0], [1]))
-            assert pmax_gridsearch(psi, 61) == float(np.max(a * a))
+        for _ in range(20):
+            x, y = rng.standard_normal(2)
+            psi = PureState(np.array([0.0, 0.0, x, y]) / math.hypot(x, y))
+            a = np.tensordot(psi.amplitudes.real.reshape(2, 2), c, axes=([0], [1]))
+            a = np.tensordot(a, c, axes=([0], [1]))
+            assert pmax_gridsearch(psi, 571) == float(np.max(a * a))
+
+    def test_memory_below_one_grid(self):
+        psi = random_state(4, np.random.default_rng(4), real=True)
+        tracemalloc.start()
+        try:
+            pmax_gridsearch(psi, 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full_grid_bytes = 41**4 * 8  # 22.6 MB; the blocked search peaks near 1.7 MB
+        assert peak < full_grid_bytes / 8
 
     def test_guards(self):
         with pytest.raises(ValueError, match="resolution"):
