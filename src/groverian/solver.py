@@ -16,9 +16,11 @@ kernel of :mod:`groverian.states`: it first builds the suffix products of the
 previous sweep's factors, then carries the prefix, psi contracted with the
 factors already updated in this sweep.  The environment of qubit k is that
 prefix times the suffix product of factors k+1..n-1, so one factor update
-costs one environment matmul and one prefix matmul.  Memory grows as
-n_starts * 2**n, which is checked against a fixed element budget before any
-start is allocated.
+costs one environment matmul and one prefix matmul.  The suffix products
+and prefixes live in a workspace allocated once per solve, about
+2 * n_starts * 2**n complex elements, which every sweep writes in place; the
+budget check counts n_starts * 2**n against a fixed element budget before
+any start is allocated.
 
 A batch runs until its slowest start converges, so a start that converged
 early to a local maximum far below the best would keep costing sweeps.  Such
@@ -291,6 +293,13 @@ def _batched_ascent(
     degenerate environment (norm below ``DEGENERATE_ENV_NORM``) keeps the
     previous factor, preserving monotonicity at saddle configurations.
 
+    Workspace.  The sweeps write every product into one :class:`_Workspace`
+    allocated before the first sweep, about 2 * n_starts * 2**n complex
+    elements, so a sweep allocates nothing of size 2**n.  Its views of the
+    working batch are built once and again after each compaction.  The
+    arithmetic is that of the kernel in :mod:`groverian.states` (the tests
+    pin it bit for bit to a loop written on that kernel).
+
     Retirement.  After each sweep, a start that has converged and whose
     squared overlap is more than ``margin = max(_RETIRE_MARGIN, 1000 * tol)``
     below the best of the working batch retires: its value, convergence sweep
@@ -323,6 +332,8 @@ def _batched_ascent(
     n_starts, n = factors.shape[0], factors.shape[1]
     psi = amplitudes[np.newaxis]
     margin = max(_RETIRE_MARGIN, 1000.0 * tol)
+    # The starting overlaps come first, so their temporaries are freed
+    # before the workspace is allocated.
     sq = np.abs(batch_overlap(psi, factors)) ** 2
     conv_at = np.full(n_starts, -1, dtype=int)
     # The working batch holds the starts still being swept; row i of it is
@@ -330,24 +341,28 @@ def _batched_ascent(
     # the rest at the end.
     sq_out, conv_out, factors_out = np.empty_like(sq), np.empty_like(conv_at), factors
     rows = np.arange(n_starts)
+    ws = _Workspace(psi, factors)
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         # Factors k+1.. are not yet updated when qubit k is, so the suffix
         # products of the previous sweep's factors serve the whole sweep.
-        tails = tail_products(factors)
-        prefix = psi
-        for k in range(n):
-            v = contract_tail(prefix, tails[k + 1])
-            norms = np.linalg.norm(v, axis=1)
+        np.conjugate(factors, out=ws.conj)
+        for conj_k, tail_after, tail_k in ws.tail_steps:
+            np.multiply(conj_k, tail_after, out=tail_k)
+        for f_k, conj_k, conj_row, lead, tail, prefix in ws.steps:
+            v = contract_tail(lead, tail)
+            norms = _row_norms(v)
             # A degenerate environment leaves its row's factor untouched.
             ok = norms > DEGENERATE_ENV_NORM
-            np.divide(v, norms[:, np.newaxis], out=factors[:, k], where=ok[:, np.newaxis])
-            if k + 1 < n:
-                prefix = contract_leading(prefix, factors[:, k])
+            np.divide(v, norms[:, np.newaxis], out=f_k, where=ok[:, np.newaxis])
+            np.conjugate(f_k, out=conj_k)
+            if prefix is not None:
+                np.matmul(conj_row, lead, out=prefix)
         # v is the environment of the last factor w.r.t. all current others,
         # so the full overlap is free here.
-        new_sq = np.abs(contract_leading(v, factors[:, n - 1])[:, 0]) ** 2
+        np.matmul(conj_row, v.reshape(v.shape[0], 2, 1), out=ws.overlap)
+        new_sq = np.abs(ws.overlap[:, 0, 0]) ** 2
         if np.any(new_sq < sq - _MONOTONE_SLACK):
             raise MonotonicityError(
                 f"sweep {sweep}: squared overlap decreased by {float(np.max(sq - new_sq))!r}"
@@ -367,8 +382,78 @@ def _batched_ascent(
             factors_out[gone] = factors[retire]
             keep = ~retire
             rows, sq, conv_at, factors = rows[keep], sq[keep], conv_at[keep], factors[keep]
+            ws.bind(factors)
     sq_out[rows], conv_out[rows], factors_out[rows] = sq, conv_at, factors
     return sq_out, factors_out, conv_out, sweeps
+
+
+class _Workspace:
+    """The arrays one solve's sweeps write, allocated once for the (S, n, 2)
+    start factors of an n-qubit state, and the views of them that a working
+    batch reads.
+
+    * ``conj``: the (S, n, 2) conjugated factors.
+    * Suffix products for k = 1..n-1, as (S, 2, 2**(n-k-1)) arrays: row s is
+      conj(f_k) x ... x conj(f_{n-1}).  There is none for k = 0, which no
+      step reads; for k = n it is a column of ones.
+    * Prefixes for k = 0..n-1, as (S, 1, 2**(n-k-1)) arrays: psi contracted
+      with factors 0..k.  The last one is the overlap.
+
+    That is about 2 * S * 2**n complex elements.  :meth:`bind` points the
+    views at the first m rows, for a working batch of m starts.
+    """
+
+    def __init__(self, psi: np.ndarray, factors: np.ndarray) -> None:
+        n_starts, n = factors.shape[0], factors.shape[1]
+        c = np.complex128
+        self._psi = psi
+        self._conj = np.empty((n_starts, n, 2), dtype=c)
+        self._tails = {k: np.empty((n_starts, 2, 2 ** (n - k - 1)), dtype=c) for k in range(1, n)}
+        self._prefixes = [np.empty((n_starts, 1, 2 ** (n - k - 1)), dtype=c) for k in range(n)]
+        self._ones = np.ones((n_starts, 1), dtype=c)
+        self.bind(factors)
+
+    def bind(self, factors: np.ndarray) -> None:
+        """Build the views for the working batch ``factors`` (m, n, 2).
+
+        ``tail_steps`` lists, for k = n-1 down to 1, the operands and output
+        of suffix product k; ``steps`` lists, for each qubit k, its factor
+        and conjugate columns, the (m, 1, 2) conjugate row, the prefix it is
+        contracted out of (psi for k = 0) as (., 2, R) rows, suffix product
+        k+1 as (m, R), and the prefix it writes (None for the last qubit,
+        whose prefix is the overlap, read off its environment).
+        """
+        m, n = factors.shape[0], factors.shape[1]
+        self.conj = conj = self._conj[:m]
+        tails = {k: t[:m] for k, t in self._tails.items()}
+        flat = {k: t.reshape(m, -1) for k, t in tails.items()}  # (m, 2**(n-k))
+        flat[n] = self._ones[:m]
+        prefixes = [p[:m] for p in self._prefixes]
+        leads = [p.reshape(p.shape[0], 2, -1) for p in [self._psi] + prefixes[:-1]]
+        self.tail_steps = [
+            (conj[:, k, :, np.newaxis], flat[k + 1][:, np.newaxis, :], tails[k])
+            for k in range(n - 1, 0, -1)
+        ]
+        self.steps = [
+            (
+                factors[:, k],
+                conj[:, k],
+                conj[:, k, np.newaxis, :],
+                leads[k],
+                flat[k + 1],
+                prefixes[k] if k + 1 < n else None,
+            )
+            for k in range(n)
+        ]
+        self.overlap = prefixes[-1]
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """2-norms of the rows of an (m, 2) array, bit for bit those of
+    ``np.linalg.norm(v, axis=1)``: that reduces ``(v.conj() * v).real`` over
+    the row, and a reduction over two entries is their one sum."""
+    s2 = (v.conj() * v).real
+    return np.sqrt(s2[:, 0] + s2[:, 1])
 
 
 def _check_budget(n_starts: int, n: int) -> None:

@@ -256,9 +256,28 @@ class TestStartRetirement:
 
         monkeypatch.setattr(solver, "contract_tail", counting_env)
         r = pmax_alternating(_golden_states()[8])
+        # One environment per qubit per sweep, so the count is not vacuous.
         # The plain loop sends 32 rows per qubit per sweep; retirement cut
         # that to 72 % on this state (2218 of 3072 row-sweeps).
+        assert len(rows) == 8 * r.sweeps_used
+        assert rows[0] == 32
         assert sum(rows) < 0.8 * 32 * 8 * r.sweeps_used
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        n_starts=st.integers(1, 9),
+        tol=st.sampled_from([1e-12, 1e-10]),
+        restriction=st.sampled_from(solver.RESTRICTIONS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_batches_match_the_non_retiring_loop(self, seed, n, n_starts, tol, restriction):
+        # n = 1 has no suffix products, one start never compacts, and several
+        # starts retire and compact the workspace views again and again.
+        # Looser tol is left out: exactness there is measured, not proven.
+        psi = random_state(n, np.random.default_rng(seed), real=restriction == "real_plane")
+        cfg = SolverConfig(n_starts=n_starts, tol=tol, rng_seed=seed, restriction=restriction)
+        _assert_matches_reference(psi, cfg)
 
     def test_rows_do_not_depend_on_the_batch(self):
         # Row 0 meets a degenerate environment (its factor is kept), row 1 a
@@ -278,6 +297,52 @@ class TestStartRetirement:
             assert np.array_equal(one[0], sq[i:i + 1])
             assert np.array_equal(one[1], factors[i:i + 1])
             assert np.array_equal(one[2], conv_at[i:i + 1])
+
+
+class TestSweepWorkspace:
+    def test_row_norms_equal_the_library_norm(self):
+        rng = np.random.default_rng(20260)
+        for m in (1, 2, 3, 7, 32, 33):
+            for _ in range(50):
+                v = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+                v *= 10.0 ** rng.uniform(-300, 150, size=(m, 1))
+                v[rng.random((m, 2)) < 0.2] = 0.0
+                v.real[rng.random((m, 2)) < 0.1] = 0.0
+                assert np.array_equal(solver._row_norms(v), np.linalg.norm(v, axis=1))
+
+    def test_sweeps_allocate_no_state_sized_arrays(self):
+        # n = 16 with 32 starts: the workspace is about 64 MiB, allocated
+        # before the first sweep; a sweep itself allocates only (m, 2)
+        # environments and numpy's ufunc buffers (257 KiB).  Allocating the
+        # suffix products per sweep cost 32 MiB.
+        psi = random_state(16, np.random.default_rng(16))
+        factors = solver._start_factors(psi, SolverConfig())
+        transients = []
+        base = [0]
+
+        def measure(sq):
+            transients.append(tracemalloc.get_traced_memory()[1] - base[0])
+            tracemalloc.reset_peak()
+            base[0] = tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            solver._batched_ascent(psi.amplitudes, factors, 4, 1e-12, on_sweep=measure)
+        finally:
+            tracemalloc.stop()
+        assert len(transients) == 4
+        assert max(transients[1:]) < 2**20  # the first one includes the workspace
+
+    def test_solve_peak_is_the_workspace(self):
+        # About 2 * n_starts * 2**n complex elements: 64 MiB here.
+        psi = random_state(16, np.random.default_rng(16))
+        tracemalloc.start()
+        try:
+            pmax_alternating(psi, SolverConfig(max_sweeps=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 2**20
 
 
 class TestRegisterSize:
