@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import refutation
+from .analytic import _groverian
 from .grover import GroverConfig, run_trace, trace_to_csv
 from .solver import SolverConfig, pmax_alternating
 from .states import (
@@ -81,7 +81,7 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
     result = pmax_alternating(_load_state(args), solver)
     payload = {
         "pmax": result.pmax,
-        "groverian": math.sqrt(max(0.0, 1.0 - result.pmax)),
+        "groverian": _groverian(result.pmax),
         "converged": result.converged,
         "sweeps_used": result.sweeps_used,
         "optimizer": [

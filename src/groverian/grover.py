@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import _groverian
 from .solver import SolverConfig, pmax_alternating
 from .states import PureState, _check_n, uniform
 
@@ -122,7 +123,7 @@ def run_trace(cfg: GroverConfig) -> list[TraceRow]:
                 iteration=k,
                 success_probability=float(np.abs(psi.amplitudes[cfg.marked_index]) ** 2),
                 pmax=pmax,
-                groverian=math.sqrt(max(0.0, 1.0 - pmax)),
+                groverian=_groverian(pmax),
             )
         )
     return rows

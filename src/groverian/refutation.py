@@ -28,6 +28,12 @@ odd multiple of pi and therefore corresponds to no (t1, t2, t3) at all.
 Both sides are computed exactly: the all-zero points are enumerated from the
 closed-form zero sets of the J functions, and the true maximum reduces to a
 one-angle maximum of a top singular value (see :func:`constraint5_search`).
+
+The public surface is what the CLI, the scripts and the tests read:
+:func:`refutation_report` (the ``refute`` output), :func:`constraint5_search`
+and :func:`substitution_identity_check` (its two parts),
+:func:`flawed_max_ghz`, :func:`ghz_objective_3param`, and the point-wise view
+:func:`transform_to_wxyz`, :func:`j_vector` and :func:`constraint4_residual`.
 """
 from __future__ import annotations
 
@@ -38,8 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import RealAngles
-
-HYPERPLANE_TOL = 1e-12
 
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
@@ -85,13 +89,6 @@ class JVector:
 
 
 @dataclass(frozen=True)
-class InfeasibleTransform:
-    """Off-hyperplane point: no real angle triple maps onto it."""
-
-    residual: float
-
-
-@dataclass(frozen=True)
 class JZeroSolution:
     """A point where all four J functions vanish, with its objective value."""
 
@@ -108,20 +105,9 @@ class ConstraintSearchReport:
     solutions: tuple[JZeroSolution, ...]
     true_max: float
     hyperplane_min_residual: float
-    grid_resolution: int
-    eps: float
 
     def best_solution_objective(self) -> float:
         return max((s.objective for s in self.solutions), default=0.0)
-
-
-@dataclass(frozen=True)
-class FlawedMaximum:
-    """The termwise maximum of the substituted objective and why it is void."""
-
-    value: float
-    witness: TransformedAngles
-    witness_residual: float
 
 
 def transform_to_wxyz(angles: RealAngles) -> TransformedAngles:
@@ -130,38 +116,9 @@ def transform_to_wxyz(angles: RealAngles) -> TransformedAngles:
     return TransformedAngles(t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3)
 
 
-def hyperplane_residual(t: TransformedAngles) -> float:
-    """w - x - y + z; identically zero on images of :func:`transform_to_wxyz`."""
-    return t.theta_w - t.theta_x - t.theta_y + t.theta_z
-
-
-def inverse_transform(t: TransformedAngles) -> RealAngles | InfeasibleTransform:
-    """Solve back for (t1, t2, t3) when the point lies on the hyperplane.
-
-    Off-hyperplane points (|residual| >= ``HYPERPLANE_TOL``) have no preimage
-    and yield an :class:`InfeasibleTransform` carrying the residual.
-    """
-    residual = hyperplane_residual(t)
-    if abs(residual) >= HYPERPLANE_TOL:
-        return InfeasibleTransform(residual=residual)
-    return RealAngles(
-        (
-            (t.theta_w + t.theta_z) / 2.0,
-            (t.theta_w - t.theta_y) / 2.0,
-            (t.theta_w - t.theta_x) / 2.0,
-        )
-    )
-
-
 def ghz_objective_3param(angles: RealAngles) -> float:
     """(1/2) (cos t1 cos t2 cos t3 + sin t1 sin t2 sin t3)**2."""
     return float(_objective3(*_three(angles)))
-
-
-def ghz_objective_4param(t: TransformedAngles) -> float:
-    """The substituted form, defined on all of 4-space including off-hyperplane
-    points; agrees with :func:`ghz_objective_3param` exactly on the hyperplane."""
-    return float(_objective4(*t.as_tuple()))
 
 
 def j_vector(t: TransformedAngles) -> JVector:
@@ -183,43 +140,18 @@ def constraint4_residual(t: TransformedAngles) -> float:
     return max(abs(j.j0 + j.j1), abs(j.j0 + j.j2), abs(j.j0 - j.j3))
 
 
-def constraint4_sums(t: TransformedAngles) -> tuple[float, float, float]:
-    """The three summed stationarity conditions (J0+J1+J2+J3, J0+J1-J2-J3,
-    J0-J1+J2-J3); they vanish simultaneously iff
-    :func:`constraint4_residual` is zero."""
-    j = j_vector(t)
-    return (
-        j.j0 + j.j1 + j.j2 + j.j3,
-        j.j0 + j.j1 - j.j2 - j.j3,
-        j.j0 - j.j1 + j.j2 - j.j3,
-    )
-
-
-def flawed_max_ghz() -> FlawedMaximum:
+def flawed_max_ghz() -> float:
     """Termwise maximum of the substituted objective: each of the four bracket
     terms attains sqrt(2) independently, giving (1/32)(4 sqrt(2))**2 = 1
-    exactly.  The witness point realizing all four termwise maxima sits a full
-    pi off the hyperplane, so no real angle triple reaches this value; the
-    maximum of the true objective is 1/2."""
-    value = (4.0**2 * 2.0) / 32.0  # (4*sqrt(2))**2 / 32, kept in exact arithmetic
-    witness = TransformedAngles(-math.pi / 4, math.pi / 4, math.pi / 4, -math.pi / 4)
-    return FlawedMaximum(
-        value=value,
-        witness=witness,
-        witness_residual=hyperplane_residual(witness),
-    )
+    exactly.  This value is void.
 
-
-def sign_resolved_min_residual() -> float:
-    """Minimum |hyperplane residual| over the whole term-maximizing family
-    {w = -pi/4, x = pi/4, y = pi/4, z = -pi/4 (each mod 2 pi)}.
-
-    The residual of any member is -pi + 2 pi m, so the minimum over canonical
-    representatives in (-pi, pi] is exactly pi: the family never touches the
-    hyperplane.
-    """
-    base = (-math.pi / 4) - (math.pi / 4) - (math.pi / 4) + (-math.pi / 4)
-    return abs(canonical_angle(base))
+    The witness realizing all four termwise maxima is (w, x, y, z) =
+    (-pi/4, pi/4, pi/4, -pi/4), and the whole term-maximizing family is that
+    point with each angle shifted by a multiple of 2 pi.  Its hyperplane
+    residual w - x - y + z is -pi + 2 pi m, an odd multiple of pi, so every
+    member misses the hyperplane and no real angle triple reaches the value;
+    the maximum of the true objective is 1/2."""
+    return (4.0**2 * 2.0) / 32.0  # (4*sqrt(2))**2 / 32, kept in exact arithmetic
 
 
 def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
@@ -255,8 +187,8 @@ def constraint5_search(grid_resolution: int = 181, eps: float = 1e-8) -> Constra
     For fixed t3 the maximum of the amplitude over (t1, t2) is the top singular
     value max(|cos t3|, |sin t3|) of diag(cos t3, sin t3); ``true_max`` takes
     it over ``grid_resolution`` values of t3 on [-pi/2, pi/2], whose endpoints
-    attain the maximum.  Also reports the minimum hyperplane residual of the
-    term-maximizing family.
+    attain the maximum.  Also reports the minimum |hyperplane residual| of the
+    term-maximizing family, which is pi (see :func:`flawed_max_ghz`).
     """
     if grid_resolution < 9:
         raise ValueError(f"grid_resolution: must be >= 9, got {grid_resolution!r}")
@@ -288,9 +220,7 @@ def constraint5_search(grid_resolution: int = 181, eps: float = 1e-8) -> Constra
     return ConstraintSearchReport(
         solutions=tuple(solutions),
         true_max=true_max,
-        hyperplane_min_residual=sign_resolved_min_residual(),
-        grid_resolution=grid_resolution,
-        eps=eps,
+        hyperplane_min_residual=abs(math.remainder(-4.0 * _QUARTER_PI, 2.0 * math.pi)),
     )
 
 
@@ -308,27 +238,16 @@ def refutation_report(
     "identity_deviation": ...}.
     """
     search = constraint5_search(grid_resolution, eps)
-    flawed = flawed_max_ghz()
     return {
         "solutions": [
-            {
-                "theta": list(s.thetas),
-                "j": list(s.j),
-                "objective": s.objective,
-            }
+            {"theta": list(s.thetas), "j": list(s.j), "objective": s.objective}
             for s in search.solutions
         ],
-        "flawed_max": flawed.value,
+        "flawed_max": flawed_max_ghz(),
         "true_max": search.true_max,
         "hyperplane_min_residual": search.hyperplane_min_residual,
         "identity_deviation": substitution_identity_check(identity_samples, rng_seed),
     }
-
-
-def canonical_angle(x: float) -> float:
-    """Reduce an angle to the canonical representative in (-pi, pi]."""
-    y = math.remainder(x, 2.0 * math.pi)
-    return y + 2.0 * math.pi if y <= -math.pi else y
 
 
 # ----------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _groverian
 from .states import (
     AMPLITUDE_BUDGET,
     NormalizationError,
@@ -144,7 +145,7 @@ def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> Pmax
 
 def groverian(psi: PureState, cfg: SolverConfig = SolverConfig()) -> float:
     """sqrt(1 - pmax) computed from the numerical maximizer."""
-    return math.sqrt(max(0.0, 1.0 - pmax_alternating(psi, cfg).pmax))
+    return _groverian(pmax_alternating(psi, cfg).pmax)
 
 
 def objective_real(psi: PureState, angles: RealAngles) -> float:

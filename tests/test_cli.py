@@ -17,6 +17,13 @@ import numpy as np
 
 FAST = ["--seeds", "8"]
 
+# The fields after "solutions" in `refute` stdout at the default resolution,
+# identity samples and seed.
+REFUTE_SCALARS = (
+    '"flawed_max": 1.0, "true_max": 0.5, "hyperplane_min_residual": 3.14159265359,'
+    ' "identity_deviation": 3.88578058619e-16}\n'
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -155,6 +162,26 @@ class TestRefuteCommand:
         assert payload["identity_deviation"] < 1e-12
         assert payload["hyperplane_min_residual"] == pytest.approx(math.pi, abs=1e-11)
         assert len(payload["solutions"]) == 4
+
+    def test_default_stdout_is_pinned(self, capsys):
+        j = "[-1.11022302463e-16, 1.11022302463e-16, 1.11022302463e-16, -1.11022302463e-16]"
+        thetas = [
+            "[-0.785398163397, -0.785398163397, 0.785398163397]",
+            "[-0.785398163397, 0.785398163397, -0.785398163397]",
+            "[0.785398163397, -0.785398163397, -0.785398163397]",
+            "[0.785398163397, 0.785398163397, 0.785398163397]",
+        ]
+        solutions = ", ".join(
+            '{"theta": ' + t + ', "j": ' + j + ', "objective": 0.25}' for t in thetas
+        )
+        code, out, _ = run_cli(capsys, "refute")
+        assert code == 0
+        assert out == '{"solutions": [' + solutions + "], " + REFUTE_SCALARS
+
+    def test_eps_below_rounding_stdout_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "refute", "--eps", "1e-17")
+        assert code == 0
+        assert out == '{"solutions": [], ' + REFUTE_SCALARS
 
     def test_csv_rejected(self, capsys):
         code, _, err = run_cli(capsys, "refute", "--format", "csv")

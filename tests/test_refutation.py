@@ -1,5 +1,6 @@
 """Angle substitution, stationarity constraints, and the exact all-zero-J search."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -9,23 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groverian import (
-    InfeasibleTransform,
     RealAngles,
     TransformedAngles,
-    canonical_angle,
     constraint4_residual,
-    constraint4_sums,
     constraint5_search,
     flawed_max_ghz,
     ghz,
     ghz_objective_3param,
-    ghz_objective_4param,
-    hyperplane_residual,
-    inverse_transform,
     j_vector,
     objective_real,
     refutation_report,
-    sign_resolved_min_residual,
     substitution_identity_check,
     transform_to_wxyz,
 )
@@ -44,6 +38,17 @@ def shifted_cosine_j(w, x, y, z):
     sin/cos form; works elementwise on arrays."""
     s2 = math.sqrt(2.0)
     return (-s2 * np.cos(Q - w), s2 * np.cos(Q + x), s2 * np.cos(Q + y), -s2 * np.cos(Q - z))
+
+
+def hyperplane_residual(t):
+    """w - x - y + z, zero on every image of a real angle triple."""
+    w, x, y, z = t.as_tuple()
+    return w - x - y + z
+
+
+def objective4(t):
+    """The substituted objective at a point of 4-space, on or off the hyperplane."""
+    return float(_objective4(*t.as_tuple()))
 
 
 class TestTransform:
@@ -82,39 +87,6 @@ class TestHyperplane:
     def test_term_maximizing_point_is_off_by_pi(self):
         assert hyperplane_residual(TransformedAngles(-Q, Q, Q, -Q)) == pytest.approx(-PI, abs=1e-15)
 
-    def test_plain_arithmetic(self):
-        assert hyperplane_residual(TransformedAngles(1, 2, 3, 4)) == 0.0
-
-
-class TestInverseTransform:
-    def test_recovers_diagonal_point(self):
-        angles = inverse_transform(TransformedAngles(3 * Q, Q, Q, -Q))
-        assert isinstance(angles, RealAngles)
-        assert angles.thetas == pytest.approx((Q, Q, Q), abs=1e-15)
-
-    def test_origin(self):
-        angles = inverse_transform(TransformedAngles(0, 0, 0, 0))
-        assert angles.thetas == (0.0, 0.0, 0.0)
-
-    def test_off_hyperplane_reports_infeasible(self):
-        report = inverse_transform(TransformedAngles(-Q, Q, Q, -Q))
-        assert isinstance(report, InfeasibleTransform)
-        assert report.residual == pytest.approx(-PI, abs=1e-15)
-
-    @given(angle_triples)
-    @settings(max_examples=200)
-    def test_round_trip(self, thetas):
-        recovered = inverse_transform(transform_to_wxyz(RealAngles(thetas)))
-        assert isinstance(recovered, RealAngles)
-        assert recovered.thetas == pytest.approx(thetas, abs=1e-12)
-
-    @given(angle_triples)
-    @settings(max_examples=100)
-    def test_forward_round_trip_on_feasible_points(self, thetas):
-        t = transform_to_wxyz(RealAngles(thetas))
-        back = transform_to_wxyz(inverse_transform(t))
-        assert back.as_tuple() == pytest.approx(t.as_tuple(), abs=1e-12)
-
 
 class TestObjectives:
     def test_three_param_values(self):
@@ -124,16 +96,16 @@ class TestObjectives:
 
     def test_four_param_values(self):
         t = transform_to_wxyz(RealAngles((Q, Q, Q)))
-        assert ghz_objective_4param(t) == pytest.approx(0.25, abs=1e-14)
-        assert ghz_objective_4param(TransformedAngles(-Q, Q, Q, -Q)) == pytest.approx(1.0, abs=1e-12)
-        assert ghz_objective_4param(TransformedAngles(0, 0, 0, 0)) == pytest.approx(0.5, abs=1e-15)
+        assert objective4(t) == pytest.approx(0.25, abs=1e-14)
+        assert objective4(TransformedAngles(-Q, Q, Q, -Q)) == pytest.approx(1.0, abs=1e-12)
+        assert objective4(TransformedAngles(0, 0, 0, 0)) == pytest.approx(0.5, abs=1e-15)
 
     @given(angle_triples)
     @settings(max_examples=200)
     def test_rewrite_identity_pointwise(self, thetas):
         angles = RealAngles(thetas)
         assert ghz_objective_3param(angles) == pytest.approx(
-            ghz_objective_4param(transform_to_wxyz(angles)), abs=1e-12
+            objective4(transform_to_wxyz(angles)), abs=1e-12
         )
 
     @given(angle_triples)
@@ -146,7 +118,7 @@ class TestObjectives:
         assert substitution_identity_check(10**4, rng_seed=3) < 1e-12
         assert abs(
             ghz_objective_3param(RealAngles((0, 0, 0)))
-            - ghz_objective_4param(transform_to_wxyz(RealAngles((0, 0, 0))))
+            - objective4(transform_to_wxyz(RealAngles((0, 0, 0))))
         ) < 1e-15
 
     def test_identity_check_validates_samples(self):
@@ -212,14 +184,6 @@ class TestPairedConstraint:
     def test_zero_cases(self, t):
         assert constraint4_residual(t) < 1e-15
 
-    def test_summed_forms_bracket_the_residual(self):
-        rng = np.random.default_rng(8)
-        for w, x, y, z in rng.uniform(-PI, PI, size=(10**4, 4)):
-            t = TransformedAngles(w, x, y, z)
-            r = constraint4_residual(t)
-            s = max(abs(v) for v in constraint4_sums(t))
-            assert r - 1e-10 <= s <= 3.0 * r + 1e-10
-
     @pytest.mark.parametrize(
         "thetas",
         [(0.0, 0.0, 0.0), (PI / 2, PI / 2, PI / 2), (-PI / 2, PI / 2, -PI / 2)],
@@ -235,19 +199,25 @@ class TestPairedConstraint:
 
 class TestFlawedMaximum:
     def test_value_is_exactly_one(self):
-        assert flawed_max_ghz().value == 1.0
+        assert flawed_max_ghz() == 1.0
 
     def test_witness_is_off_hyperplane(self):
-        f = flawed_max_ghz()
-        assert f.witness_residual == pytest.approx(-PI, abs=1e-15)
-        assert isinstance(inverse_transform(f.witness), InfeasibleTransform)
-        assert ghz_objective_4param(f.witness) == pytest.approx(1.0, abs=1e-12)
+        # The point where all four bracket terms peak reaches the termwise
+        # maximum, but it is a full pi off the hyperplane.
+        witness = TransformedAngles(-Q, Q, Q, -Q)
+        assert hyperplane_residual(witness) == pytest.approx(-PI, abs=1e-15)
+        assert objective4(witness) == pytest.approx(flawed_max_ghz(), abs=1e-12)
 
     def test_gap_to_true_maximum(self):
-        assert flawed_max_ghz().value - 0.5 == pytest.approx(0.5, abs=1e-15)
+        assert flawed_max_ghz() - 0.5 == pytest.approx(0.5, abs=1e-15)
 
     def test_sign_resolved_family_never_reaches_the_hyperplane(self):
-        assert sign_resolved_min_residual() == pytest.approx(PI, abs=1e-15)
+        # Shifting the witness's angles by multiples of 2 pi moves its residual
+        # by multiples of 2 pi, so the residual stays an odd multiple of pi.
+        for shifts in itertools.product(range(-2, 3), repeat=4):
+            t = TransformedAngles(*(a + 2 * PI * k for a, k in zip((-Q, Q, Q, -Q), shifts)))
+            assert abs(math.remainder(hyperplane_residual(t), 2 * PI)) == pytest.approx(PI, abs=1e-12)
+        assert constraint5_search().hyperplane_min_residual == PI
 
 
 class TestConstraintSearch:
@@ -264,7 +234,7 @@ class TestConstraintSearch:
         report = constraint5_search(grid_resolution=61, eps=1e-8)
         assert report.best_solution_objective() <= 0.5 - 1e-6
         assert report.true_max == pytest.approx(0.5, abs=1e-9)
-        assert report.hyperplane_min_residual == pytest.approx(PI, abs=1e-12)
+        assert report.hyperplane_min_residual == PI
 
     def test_resolution_guard(self):
         with pytest.raises(ValueError, match="grid_resolution"):
@@ -289,7 +259,6 @@ class TestConstraintSearch:
         assert report.solutions == constraint5_search(grid_resolution=61, eps=1e-8).solutions
         assert len(report.solutions) == 4
         assert report.true_max == 0.5
-        assert report.grid_resolution == resolution
 
     def test_grid_finds_no_zero_away_from_the_enumerated_points(self):
         # Each |J_i| moves by at most sqrt(2) per unit step of any t_j, so a
@@ -325,15 +294,3 @@ class TestReport:
             assert set(sol) == {"theta", "j", "objective"}
         json.dumps(report)  # serializable as-is
 
-
-class TestCanonicalAngle:
-    @given(st.floats(-50.0, 50.0))
-    @settings(max_examples=300)
-    def test_range_and_congruence(self, x):
-        y = canonical_angle(x)
-        assert -PI < y <= PI
-        assert math.isclose(math.cos(y - x), 1.0, abs_tol=1e-9)
-
-    def test_negative_pi_maps_to_positive(self):
-        assert canonical_angle(-PI) == PI
-        assert canonical_angle(3 * PI) == pytest.approx(PI, abs=1e-12)

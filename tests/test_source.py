@@ -2,10 +2,12 @@
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import groverian
 from groverian.states import FAMILIES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "groverian"
@@ -61,3 +63,17 @@ def test_family_names_only_in_the_registry(path):
         and id(node) not in exported
     ]
     assert lines == [], f"{path.name}: family names outside the registry at lines {lines}"
+
+
+def test_all_lists_exactly_the_public_names():
+    # A name deleted from a module but left in __all__ breaks
+    # `from groverian import *`; a public name missing from __all__ is
+    # exported by accident.  Submodules are not part of the list.
+    public = {
+        name
+        for name, value in vars(groverian).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    listed = set(groverian.__all__)
+    assert listed - public == set(), f"listed in __all__ but not defined: {listed - public}"
+    assert public - listed == set(), f"public but not in __all__: {public - listed}"
