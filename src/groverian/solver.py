@@ -33,7 +33,6 @@ converged start would have climbed past the best afterwards (see
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +46,7 @@ from .states import (
     PureState,
     RealAngles,
     SingleQubitState,
+    _check_same_size,
     batch_overlap,
     contract_leading,
     contract_tail,
@@ -58,8 +58,6 @@ RESTRICTIONS = ("full_bloch", "real_plane")
 DEGENERATE_ENV_NORM = 1e-14  # below this the previous factor is kept
 _MONOTONE_SLACK = 1e-12
 _REAL_INPUT_TOL = 1e-12
-_GRID_BUDGET = 10**8  # max number of grid points in the brute-force search
-_GRID_BLOCK = 2**16  # grid points (512 KiB) per block of the search's last contraction
 _RETIRE_MARGIN = 1e-9  # floor of the retirement margin max(1e-9, 1000 * tol)
 
 
@@ -154,12 +152,8 @@ def objective_real(psi: PureState, angles: RealAngles) -> float:
     Equals (sum_x a_x prod_i c_i(x_i))**2 with c_i(0) = cos(theta_i) and
     c_i(1) = sin(theta_i).
     """
-    a = _real_amplitudes(psi)
-    if len(angles) != psi.n_qubits:
-        raise ValueError(
-            f"angles: expected {psi.n_qubits} angles, got {len(angles)}"
-        )
-    return float(batch_overlap(a, _real_factors(angles)[np.newaxis])[0]) ** 2
+    a = _real_inputs(psi, angles)
+    return float(batch_overlap(a, _real_factors(angles.thetas)[np.newaxis])[0]) ** 2
 
 
 def gradient_real(psi: PureState, angles: RealAngles) -> np.ndarray:
@@ -169,14 +163,10 @@ def gradient_real(psi: PureState, angles: RealAngles) -> np.ndarray:
     amplitude sum: grad_i = 2 * A * (d_i . v_i) with v_i the contraction of
     psi against all other factors.
     """
-    a = _real_amplitudes(psi)
+    a = _real_inputs(psi, angles)
     n = psi.n_qubits
-    if len(angles) != n:
-        raise ValueError(f"angles: expected {n} angles, got {len(angles)}")
-    cs = _real_factors(angles)[np.newaxis]  # (1, n, 2) factor amplitudes
-    ds = np.stack(
-        [-np.sin(angles.thetas), np.cos(angles.thetas)], axis=1
-    )  # (n, 2) factor derivatives
+    cs = _real_factors(angles.thetas)[np.newaxis]  # (1, n, 2) factor amplitudes
+    ds = cs[0, :, ::-1] * [-1.0, 1.0]  # (n, 2) factor derivatives (-sin, cos)
     tails = tail_products(cs)
     envs = np.empty((n, 2))
     for i in range(n):
@@ -189,42 +179,28 @@ def gradient_real(psi: PureState, angles: RealAngles) -> np.ndarray:
 def pmax_gridsearch(psi: PureState, resolution: int) -> float:
     """Brute-force lower bound on pmax for real states.
 
-    Maximizes :func:`objective_real` over the full grid with ``resolution``
-    points per angle on [-pi/2, pi/2].  Within O(spacing**2) of the true
-    maximum for smooth objectives.  Time grows as resolution**n (guarded by
-    ``_GRID_BUDGET``); memory is about 2 * resolution**(n-1) elements, since
-    the last contraction is maximized block by block in a fixed buffer.
+    Maximizes :func:`objective_real` over ``resolution`` points on
+    [-pi/2, pi/2] per angle, except the last angle, where the amplitude
+    a0 cos(t) + a1 sin(t) has the exact largest square a0**2 + a1**2; so it is
+    never below the full resolution**n grid's maximum.  The largest array,
+    2 * resolution**(n-1) elements, must fit ``AMPLITUDE_BUDGET``.
     """
     if resolution < 3:
         raise ValueError(f"resolution: must be >= 3, got {resolution!r}")
     n = psi.n_qubits
-    if resolution**n > _GRID_BUDGET:
+    if 2 * resolution ** (n - 1) > AMPLITUDE_BUDGET:
         raise ValueError(
-            f"resolution: grid of {resolution}**{n} points exceeds the "
-            f"{_GRID_BUDGET:.0e} budget"
+            f"resolution: grid of 2 * {resolution}**{n - 1} values exceeds the "
+            f"{AMPLITUDE_BUDGET}-element budget"
         )
     a = _real_amplitudes(psi).reshape((2,) * n)
-    thetas = np.linspace(-math.pi / 2, math.pi / 2, resolution)
-    c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)  # (resolution, 2)
+    c = _real_factors(np.linspace(-math.pi / 2, math.pi / 2, resolution))
     for _ in range(n - 1):
         a = np.tensordot(a, c, axes=([0], [1]))
-    # The last contraction is the product tensordot would form, the
-    # (resolution**(n-1), 2) view of a times c.T, taken one block of rows at
-    # a time into one buffer, so no resolution**n array exists.  Every block
-    # has at least two rows: a one-row block becomes a matrix-vector product,
-    # which can round differently.
-    a = np.moveaxis(a, 0, -1).reshape(-1, 2)
-    rows = a.shape[0]
-    step = max(2, _GRID_BLOCK // resolution)
-    edges = [*range(0, max(rows - 1, 1), step), rows]
-    buf = np.empty((min(rows, step + 1), resolution))
-    m = 0.0
-    for lo, hi in itertools.pairwise(edges):
-        blk = np.dot(a[lo:hi], c.T, out=buf[: hi - lo])
-        # Squaring is monotone in |blk|, so this equals max(a * a) bit for
-        # bit without squaring anything.
-        m = max(m, float(blk.max()), -float(blk.min()))
-    return m * m
+    # Axis 0 is now the last qubit.  At n = 1, a is still psi's read-only
+    # amplitudes, so it is squared into a new array.
+    sq = np.multiply(a, a, out=a if n > 1 else None)
+    return float(np.max(sq[0] + sq[1]))
 
 
 def ascent_history(
@@ -233,10 +209,7 @@ def ascent_history(
     """Per-sweep squared overlaps of a single alternating run (entry 0 is the
     start's own squared overlap).  Exposed for diagnostics and for checking
     the monotone-ascent guarantee directly."""
-    if psi.n_qubits != start.n_qubits:
-        raise ValueError(
-            f"dimension mismatch: state has {psi.n_qubits} qubits, start has {start.n_qubits}"
-        )
+    _check_same_size(psi, start)
     _check_budget(1, psi.n_qubits)
     factors = start.factor_matrix()[np.newaxis, :, :].copy()
     history = [float(np.abs(batch_overlap(psi.amplitudes[np.newaxis], factors)[0]) ** 2)]
@@ -265,14 +238,8 @@ def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
         return factors
     rng = np.random.default_rng(cfg.rng_seed)
     if cfg.restriction == "real_plane":
-        if not psi.is_real(_REAL_INPUT_TOL):
-            raise ValueError(
-                "psi: real_plane restriction requires real amplitudes "
-                f"(imaginary parts below {_REAL_INPUT_TOL})"
-            )
-        th = rng.uniform(-math.pi / 2, math.pi / 2, size=(s - 1, n))
-        factors[1:, :, 0] = np.cos(th)
-        factors[1:, :, 1] = np.sin(th)
+        _real_amplitudes(psi)  # refuses a complex state
+        factors[1:] = _real_factors(rng.uniform(-math.pi / 2, math.pi / 2, size=(s - 1, n)))
     else:
         z = rng.normal(size=(s - 1, n, 2)) + 1j * rng.normal(size=(s - 1, n, 2))
         factors[1:] = z / np.linalg.norm(z, axis=2, keepdims=True)
@@ -465,9 +432,9 @@ def _check_budget(n_starts: int, n: int) -> None:
         )
 
 
-def _real_factors(angles: RealAngles) -> np.ndarray:
-    """(n, 2) real-plane factor amplitudes (cos(theta_i), sin(theta_i))."""
-    return np.stack([np.cos(angles.thetas), np.sin(angles.thetas)], axis=1)
+def _real_factors(thetas) -> np.ndarray:
+    """(..., 2) real-plane factor amplitudes (cos, sin) of angles of shape (...)."""
+    return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
 
 
 def _real_amplitudes(psi: PureState) -> np.ndarray:
@@ -478,3 +445,11 @@ def _real_amplitudes(psi: PureState) -> np.ndarray:
             f"(imaginary parts below {_REAL_INPUT_TOL})"
         )
     return psi.amplitudes.real[np.newaxis]
+
+
+def _real_inputs(psi: PureState, angles: RealAngles) -> np.ndarray:
+    """:func:`_real_amplitudes` of psi, once the angles match its qubits."""
+    a = _real_amplitudes(psi)
+    if len(angles) != psi.n_qubits:
+        raise ValueError(f"angles: expected {psi.n_qubits} angles, got {len(angles)}")
+    return a

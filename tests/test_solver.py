@@ -389,6 +389,11 @@ class TestMonotoneAscent:
         assert history[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(history) >= -1e-12)
 
+    def test_start_of_another_size_is_refused(self):
+        start = ProductState((SingleQubitState(1, 0),) * 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ascent_history(ghz(3), start)
+
     def test_decrease_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "contract_tail", _shrinking_env(solver.contract_tail))
         with pytest.raises(MonotonicityError, match="decreased"):
@@ -510,6 +515,15 @@ class TestGradient:
                 ) / (2 * step)
                 assert abs(grad[i] - fd) < 1e-6
 
+    def test_rejects_wrong_arity(self):
+        with pytest.raises(ValueError, match="angles"):
+            gradient_real(ghz(3), RealAngles((0.0, 0.0)))
+
+    @pytest.mark.parametrize("f", [objective_real, gradient_real])
+    def test_checks_realness_before_arity(self, f):
+        with pytest.raises(ValueError, match="real amplitudes"):
+            f(random_state(3, np.random.default_rng(1)), RealAngles((0.0, 0.0)))
+
 
 class TestGridSearch:
     def test_ghz3(self):
@@ -528,35 +542,38 @@ class TestGridSearch:
             assert pmax_gridsearch(psi, 61) <= schmidt_pmax_2qubit(psi) + 1e-12
 
     def test_equals_the_maximum_of_the_squared_grid(self):
-        # The blocked max(a.max(), -a.min())**2 must equal max(a * a) over
-        # the full grid bit for bit.  At n = 3 and 4, resolutions 57 and 61
-        # leave a short last block of rows.
+        # n - 1 grid contractions, then the exact maximum over the last
+        # angle, a0**2 + a1**2, bit for bit; never below the full grid's
+        # max(a * a).  The n = 2 states with qubit 0 in |1> at resolution 571
+        # put the maximum in the last grid row (t0 = pi/2, tied with row 0).
         rng = np.random.default_rng(61)
         states = [ghz(3), w(3), dicke(3, 1), gghz(3, a=0.8), uniform(3), basis_state(3, 5)]
         states += [random_state(n, rng, real=True) for n in (2, 3, 4) for _ in range(6)]
-        for resolution in (9, 21, 57, 61):
-            thetas = np.linspace(-math.pi / 2, math.pi / 2, resolution)
-            c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-            for psi in states:
-                a = psi.amplitudes.real.reshape((2,) * psi.n_qubits)
-                for _ in range(psi.n_qubits):
-                    a = np.tensordot(a, c, axes=([0], [1]))
-                squared = np.multiply(a, a, out=a)  # in place: 110 MB at n = 4, 61
-                assert pmax_gridsearch(psi, resolution) == float(np.max(squared))
-
-    def test_one_row_tail_joins_the_block_before_it(self):
-        # At n = 2 and resolution 571 the blocks hold 114 rows, which leaves
-        # the last row (t0 = pi/2) over; a one-row block rounds differently.
-        # With qubit 0 in |1> the maximum lies in that row (tied with row 0).
+        cases = [(psi, resolution) for resolution in (9, 21, 57, 61) for psi in states]
         rng = np.random.default_rng(571)
-        thetas = np.linspace(-math.pi / 2, math.pi / 2, 571)
-        c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         for _ in range(20):
             x, y = rng.standard_normal(2)
-            psi = PureState(np.array([0.0, 0.0, x, y]) / math.hypot(x, y))
-            a = np.tensordot(psi.amplitudes.real.reshape(2, 2), c, axes=([0], [1]))
+            cases.append((PureState(np.array([0.0, 0.0, x, y]) / math.hypot(x, y)), 571))
+        for psi, resolution in cases:
+            thetas = np.linspace(-math.pi / 2, math.pi / 2, resolution)
+            c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+            a = psi.amplitudes.real.reshape((2,) * psi.n_qubits)
+            for _ in range(psi.n_qubits - 1):
+                a = np.tensordot(a, c, axes=([0], [1]))
+            value = pmax_gridsearch(psi, resolution)
+            assert value == float(np.max(a[0] * a[0] + a[1] * a[1]))
             a = np.tensordot(a, c, axes=([0], [1]))
-            assert pmax_gridsearch(psi, 571) == float(np.max(a * a))
+            squared = np.multiply(a, a, out=a)  # in place: 110 MB at n = 4, 61
+            assert value >= float(np.max(squared)) - 1e-15
+
+    def test_one_qubit_is_exact_and_leaves_psi_alone(self):
+        # No contraction runs at n = 1, so the amplitudes must not be
+        # squared in place.
+        rng = np.random.default_rng(1)
+        for psi in [basis_state(1, 1)] + [random_state(1, rng, real=True) for _ in range(10)]:
+            before = psi.amplitudes.copy()
+            assert abs(pmax_gridsearch(psi, 9) - 1.0) <= 1e-15
+            np.testing.assert_array_equal(psi.amplitudes, before)
 
     def test_memory_below_one_grid(self):
         psi = random_state(4, np.random.default_rng(4), real=True)
@@ -572,8 +589,15 @@ class TestGridSearch:
     def test_guards(self):
         with pytest.raises(ValueError, match="resolution"):
             pmax_gridsearch(ghz(3), 2)
-        with pytest.raises(ValueError, match="budget"):
-            pmax_gridsearch(ghz(3), 1000)
+        # 2 * 2897**2 values is the first grid at n = 3 above the budget.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                pmax_gridsearch(ghz(3), 2897)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="real"):
             pmax_gridsearch(random_state(2, rng), 21)

@@ -77,3 +77,22 @@ def test_all_lists_exactly_the_public_names():
     listed = set(groverian.__all__)
     assert listed - public == set(), f"listed in __all__ but not defined: {listed - public}"
     assert public - listed == set(), f"public but not in __all__: {public - listed}"
+
+
+def test_budgets_only_in_states():
+    # states.AMPLITUDE_BUDGET is the one memory budget; a module-level
+    # *_BUDGET elsewhere is a second size limit that can drift from it.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                found += [
+                    (path.name, name.id)
+                    for name in ast.walk(node)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Store)
+                    and name.id.endswith("_BUDGET")
+                ]
+    assert found == [], f"module-level budgets outside states.py: {found}"
