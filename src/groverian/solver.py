@@ -16,11 +16,13 @@ kernel of :mod:`groverian.states`: it first builds the suffix products of the
 previous sweep's factors, then carries the prefix, psi contracted with the
 factors already updated in this sweep.  The environment of qubit k is that
 prefix times the suffix product of factors k+1..n-1, so one factor update
-costs one environment matmul and one prefix matmul.  The suffix products
-and prefixes live in a workspace allocated once per solve, about
-2 * n_starts * 2**n complex elements, which every sweep writes in place; the
-budget check counts n_starts * 2**n against a fixed element budget before
-any start is allocated.
+costs one environment matmul and one prefix matmul.  The suffix products,
+the prefixes, the factors (held qubit-major) and a few (n_starts, 2) step
+buffers live in a workspace allocated once per solve, about
+2 * n_starts * 2**n complex elements.  Each qubit step is a fixed list of
+nine numpy calls that write into views of it bound once per working batch,
+so no step allocates; the budget check counts n_starts * 2**n against a
+fixed element budget before any start is allocated.
 
 A batch runs until its slowest start converges, so a start that converged
 early to a local maximum far below the best would keep costing sweeps.  Such
@@ -229,6 +231,9 @@ def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
     """(n_starts, n, 2) start factors; row 0 is the best basis product state."""
     n = psi.n_qubits
     s = cfg.n_starts
+    real = cfg.restriction == "real_plane"
+    if real:
+        _real_amplitudes(psi)  # refuses a complex state, even with the basis start alone
     factors = np.zeros((s, n, 2), dtype=np.complex128)
     x = int(np.argmax(np.abs(psi.amplitudes) ** 2))
     for i in range(n):
@@ -237,8 +242,7 @@ def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
     if s == 1:
         return factors
     rng = np.random.default_rng(cfg.rng_seed)
-    if cfg.restriction == "real_plane":
-        _real_amplitudes(psi)  # refuses a complex state
+    if real:
         factors[1:] = _real_factors(rng.uniform(-math.pi / 2, math.pi / 2, size=(s - 1, n)))
     else:
         z = rng.normal(size=(s - 1, n, 2)) + 1j * rng.normal(size=(s - 1, n, 2))
@@ -256,17 +260,19 @@ def _batched_ascent(
     """Sweep all starts until each one's per-sweep gain falls below tol.
 
     Returns (squared overlaps, factors, sweep index of convergence per start
-    (-1 if never), sweeps executed).  Updates are the exact per-factor optima,
-    so the squared overlap of every start is nondecreasing sweep to sweep; a
-    degenerate environment (norm below ``DEGENERATE_ENV_NORM``) keeps the
-    previous factor, preserving monotonicity at saddle configurations.
+    (-1 if never), sweeps executed); the factors are written back into
+    ``factors``.  Updates are the exact per-factor optima, so the squared
+    overlap of every start is nondecreasing sweep to sweep; a degenerate
+    environment (norm below ``DEGENERATE_ENV_NORM``) keeps the previous
+    factor, preserving monotonicity at saddle configurations.
 
-    Workspace.  The sweeps write every product into one :class:`_Workspace`
-    allocated before the first sweep, about 2 * n_starts * 2**n complex
-    elements, so a sweep allocates nothing of size 2**n.  Its views of the
-    working batch are built once and again after each compaction.  The
-    arithmetic is that of the kernel in :mod:`groverian.states` (the tests
-    pin it bit for bit to a loop written on that kernel).
+    Workspace.  The sweeps work in one :class:`_Workspace` allocated before
+    the first sweep, about 2 * n_starts * 2**n complex elements, so a sweep
+    allocates nothing of size 2**n.  Each qubit step is the fixed list of
+    calls that :class:`_Workspace` describes, each writing into a view bound
+    once per working batch.  The arithmetic is that of the kernel in
+    :mod:`groverian.states` (the tests pin it bit for bit to a loop written
+    on that kernel).
 
     Retirement.  After each sweep, a start that has converged and whose
     squared overlap is more than ``margin = max(_RETIRE_MARGIN, 1000 * tol)``
@@ -297,7 +303,7 @@ def _batched_ascent(
     ``on_sweep`` receives the working batch's squared overlaps; a single
     start is always the best, never retires, and so is always reported.
     """
-    n_starts, n = factors.shape[0], factors.shape[1]
+    n_starts = factors.shape[0]
     psi = amplitudes[np.newaxis]
     margin = max(_RETIRE_MARGIN, 1000.0 * tol)
     # The starting overlaps come first, so their temporaries are freed
@@ -309,119 +315,170 @@ def _batched_ascent(
     # the rest at the end.
     sq_out, conv_out, factors_out = np.empty_like(sq), np.empty_like(conv_at), factors
     rows = np.arange(n_starts)
+    pending = n_starts  # working starts not yet converged
     ws = _Workspace(psi, factors)
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
         # Factors k+1.. are not yet updated when qubit k is, so the suffix
         # products of the previous sweep's factors serve the whole sweep.
-        np.conjugate(factors, out=ws.conj)
         for conj_k, tail_after, tail_k in ws.tail_steps:
-            np.multiply(conj_k, tail_after, out=tail_k)
+            np.multiply(conj_k, tail_after, tail_k)
+        env, v, scratch, left, right, norm, norm_re, floor, ok, ok_col = ws.buffers
         for f_k, conj_k, conj_row, lead, tail, prefix in ws.steps:
-            v = contract_tail(lead, tail)
-            norms = _row_norms(v)
+            np.matmul(lead, tail, env)
             # A degenerate environment leaves its row's factor untouched.
-            ok = norms > DEGENERATE_ENV_NORM
-            np.divide(v, norms[:, np.newaxis], out=f_k, where=ok[:, np.newaxis])
-            np.conjugate(f_k, out=conj_k)
+            np.greater(_row_norms(v, scratch, left, right, norm_re), floor, ok)
+            np.divide(v, norm, f_k, where=ok_col)
+            np.conjugate(f_k, conj_k)
             if prefix is not None:
-                np.matmul(conj_row, lead, out=prefix)
-        # v is the environment of the last factor w.r.t. all current others,
-        # so the full overlap is free here.
-        np.matmul(conj_row, v.reshape(v.shape[0], 2, 1), out=ws.overlap)
+                np.matmul(conj_row, lead, prefix)
+        # env is the environment of the last factor w.r.t. all current
+        # others, so the full overlap is free here.
+        np.matmul(conj_row, env, ws.overlap)
         new_sq = np.abs(ws.overlap[:, 0, 0]) ** 2
-        if np.any(new_sq < sq - _MONOTONE_SLACK):
+        if (new_sq < sq - _MONOTONE_SLACK).any():
             raise MonotonicityError(
                 f"sweep {sweep}: squared overlap decreased by {float(np.max(sq - new_sq))!r}"
             )
         newly = (np.abs(new_sq - sq) < tol) & (conv_at < 0)
         conv_at[newly] = sweep
+        pending -= np.count_nonzero(newly)
         sq = new_sq
         if on_sweep is not None:
             on_sweep(sq)
-        converged = conv_at >= 0
-        if converged.all():
+        if pending == 0:
             break
-        retire = converged & (sq < sq.max() - margin)
+        if pending == len(rows):
+            continue  # no working start has converged, so none can retire
+        retire = (conv_at >= 0) & (sq < sq.max() - margin)
         if retire.any():
             gone = rows[retire]
             sq_out[gone], conv_out[gone] = sq[retire], conv_at[retire]
-            factors_out[gone] = factors[retire]
+            factors_out[gone] = ws.factors[:, retire].swapaxes(0, 1)
             keep = ~retire
-            rows, sq, conv_at, factors = rows[keep], sq[keep], conv_at[keep], factors[keep]
-            ws.bind(factors)
-    sq_out[rows], conv_out[rows], factors_out[rows] = sq, conv_at, factors
+            rows, sq, conv_at = rows[keep], sq[keep], conv_at[keep]
+            ws.compact(keep)
+    sq_out[rows], conv_out[rows] = sq, conv_at
+    factors_out[rows] = ws.factors.swapaxes(0, 1)
     return sq_out, factors_out, conv_out, sweeps
 
 
 class _Workspace:
     """The arrays one solve's sweeps write, allocated once for the (S, n, 2)
     start factors of an n-qubit state, and the views of them that a working
-    batch reads.
+    batch of m starts reads.
 
-    * ``conj``: the (S, n, 2) conjugated factors.
+    * ``factors`` and their conjugates, qubit-major as (n, S, 2), so that
+      factor k of the working batch is one contiguous (m, 2) block.  The
+      conjugates are derived when a batch is bound and kept current by each
+      step.
     * Suffix products for k = 1..n-1, as (S, 2, 2**(n-k-1)) arrays: row s is
       conj(f_k) x ... x conj(f_{n-1}).  There is none for k = 0, which no
       step reads; for k = n it is a column of ones.
     * Prefixes for k = 0..n-1, as (S, 1, 2**(n-k-1)) arrays: psi contracted
       with factors 0..k.  The last one is the overlap.
+    * Step buffers: the (S, 2, 1) environment v, the (S, 2) scratch for
+      conj(v) * v, the (S, 1) norm column, complex with a zero imaginary
+      part, and the (S,) degeneracy mask.  numpy divides a complex array by
+      a float one after casting the float to r + 0j, so dividing by the
+      complex column gives the same bits and casts nothing.
 
-    That is about 2 * S * 2**n complex elements.  :meth:`bind` points the
-    views at the first m rows, for a working batch of m starts.
+    That is about 2 * S * 2**n complex elements.  The step for qubit k is
+    nine calls, each writing into a buffer above: the environment matmul
+    (the operation of :func:`groverian.states.contract_tail`), the four
+    calls of :func:`_row_norms` into the norm column's real part, the mask,
+    the masked divide into f_k, the conjugate into conj_k, and the prefix
+    matmul (none for the last qubit).  Outputs are passed positionally,
+    which numpy parses faster than ``out=``.  :meth:`bind` points the views
+    at the first m rows; :meth:`compact` moves the kept rows there first.
     """
 
     def __init__(self, psi: np.ndarray, factors: np.ndarray) -> None:
         n_starts, n = factors.shape[0], factors.shape[1]
         c = np.complex128
         self._psi = psi
-        self._conj = np.empty((n_starts, n, 2), dtype=c)
+        self._factors = np.ascontiguousarray(factors.swapaxes(0, 1))
+        self._conj = np.empty_like(self._factors)
         self._tails = {k: np.empty((n_starts, 2, 2 ** (n - k - 1)), dtype=c) for k in range(1, n)}
         self._prefixes = [np.empty((n_starts, 1, 2 ** (n - k - 1)), dtype=c) for k in range(n)]
         self._ones = np.ones((n_starts, 1), dtype=c)
-        self.bind(factors)
+        self._env = np.empty((n_starts, 2, 1), dtype=c)
+        self._scratch = np.empty((n_starts, 2), dtype=c)
+        self._norm = np.zeros((n_starts, 1), dtype=c)
+        self._ok = np.empty(n_starts, dtype=bool)
+        self._floor = np.array(DEGENERATE_ENV_NORM)  # np.greater converts no Python float
+        self.bind(n_starts)
 
-    def bind(self, factors: np.ndarray) -> None:
-        """Build the views for the working batch ``factors`` (m, n, 2).
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep the working rows flagged in ``keep``, in order, and bind them."""
+        kept = self.factors[:, keep]
+        self._factors[:, : kept.shape[1]] = kept
+        self.bind(kept.shape[1])
+
+    def bind(self, m: int) -> None:
+        """Build the views for a working batch of the first m rows.
 
         ``tail_steps`` lists, for k = n-1 down to 1, the operands and output
         of suffix product k; ``steps`` lists, for each qubit k, its factor
-        and conjugate columns, the (m, 1, 2) conjugate row, the prefix it is
+        and conjugate blocks, the (m, 1, 2) conjugate row, the prefix it is
         contracted out of (psi for k = 0) as (., 2, R) rows, suffix product
-        k+1 as (m, R), and the prefix it writes (None for the last qubit,
-        whose prefix is the overlap, read off its environment).
+        k+1 as an (m, R, 1) column, and the prefix it writes (None for the
+        last qubit, whose prefix is the overlap, read off its environment).
+        ``buffers`` holds the step buffers and their views: the environment
+        and its (m, 2) rows, the scratch and the real parts of its two
+        columns, the norm column and its real part, the 0-d degeneracy
+        threshold, and the mask as (m,) and as an (m, 1) column.
         """
-        m, n = factors.shape[0], factors.shape[1]
-        self.conj = conj = self._conj[:m]
+        n = self._factors.shape[0]
+        self.factors = factors = self._factors[:, :m]
+        conj = self._conj[:, :m]
+        np.conjugate(factors, out=conj)
         tails = {k: t[:m] for k, t in self._tails.items()}
         flat = {k: t.reshape(m, -1) for k, t in tails.items()}  # (m, 2**(n-k))
         flat[n] = self._ones[:m]
         prefixes = [p[:m] for p in self._prefixes]
         leads = [p.reshape(p.shape[0], 2, -1) for p in [self._psi] + prefixes[:-1]]
         self.tail_steps = [
-            (conj[:, k, :, np.newaxis], flat[k + 1][:, np.newaxis, :], tails[k])
+            (conj[k, :, :, np.newaxis], flat[k + 1][:, np.newaxis, :], tails[k])
             for k in range(n - 1, 0, -1)
         ]
         self.steps = [
             (
-                factors[:, k],
-                conj[:, k],
-                conj[:, k, np.newaxis, :],
+                factors[k],
+                conj[k],
+                conj[k, :, np.newaxis, :],
                 leads[k],
-                flat[k + 1],
+                flat[k + 1][:, :, np.newaxis],
                 prefixes[k] if k + 1 < n else None,
             )
             for k in range(n)
         ]
         self.overlap = prefixes[-1]
+        env, scratch, norm, ok = self._env[:m], self._scratch[:m], self._norm[:m], self._ok[:m]
+        self.buffers = (
+            env, env[:, :, 0],
+            scratch, scratch.real[:, 0], scratch.real[:, 1],
+            norm, norm.real[:, 0], self._floor,
+            ok, ok[:, np.newaxis],
+        )
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """2-norms of the rows of an (m, 2) array, bit for bit those of
-    ``np.linalg.norm(v, axis=1)``: that reduces ``(v.conj() * v).real`` over
-    the row, and a reduction over two entries is their one sum."""
-    s2 = (v.conj() * v).real
-    return np.sqrt(s2[:, 0] + s2[:, 1])
+def _row_norms(
+    v: np.ndarray, scratch: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """2-norms of the rows of an (m, 2) complex array, written into the (m,)
+    float array ``out``, which is returned.  ``scratch`` is an (m, 2) complex
+    array, and ``left`` and ``right`` are the real parts of its two columns.
+
+    Bit for bit ``np.linalg.norm(v, axis=1)``: that reduces
+    ``(v.conj() * v).real`` over the row, and a reduction over two entries is
+    their one sum.
+    """
+    np.conjugate(v, scratch)
+    np.multiply(scratch, v, scratch)
+    np.add(left, right, out)
+    return np.sqrt(out, out)
 
 
 def _check_budget(n_starts: int, n: int) -> None:

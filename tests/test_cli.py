@@ -291,6 +291,18 @@ class TestExitCodes:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize("seeds", ["1", "2"])
+    def test_real_restriction_on_complex_file_exits_2(self, capsys, tmp_path, seeds):
+        # One seed is the basis start alone; it must be refused like more.
+        path = tmp_path / "complex.json"
+        save_state_json(random_state(3, np.random.default_rng(5)), path)
+        code, out, err = run_cli(
+            capsys, "pmax", "--file", str(path), "--restriction", "real", "--seeds", seeds
+        )
+        assert code == 2
+        assert out == ""
+        assert "real amplitudes" in err
+
     def test_bad_family_parameter_exits_2(self, capsys):
         for spec in ("gghz:3,a2=nope", "dicke:4", "w:", "gghz:3,a2=0.2,a2=0.3", "w:4,5"):
             code, _, _ = run_cli(capsys, "pmax", "--family", spec)

@@ -129,6 +129,12 @@ class TestAlternating:
         with pytest.raises(ValueError, match="real"):
             pmax_alternating(random_state(2, rng), SolverConfig(restriction="real_plane"))
 
+    def test_real_plane_rejects_complex_states_with_one_start(self):
+        # One start is the basis start alone, which draws no real-plane angles.
+        psi = random_state(3, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="real amplitudes"):
+            pmax_alternating(psi, SolverConfig(n_starts=1, restriction="real_plane"))
+
 
 class TestReferenceStates:
     # The first state of each size drawn by random_state(n, default_rng(9082031))
@@ -201,8 +207,9 @@ def _assert_matches_reference(psi, cfg=SolverConfig()):
     best = int(np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0])
     r = pmax_alternating(psi, cfg)
     assert (r.best_start, r.sweeps_used, r.converged) == (best, sweeps, bool(conv_at[best] >= 0))
-    assert r.pmax == float(sq[best])
-    assert np.array_equal(r.optimizer.factor_matrix(), factors[best])
+    # Bytes, not ==, which would take -0.0 for 0.0.
+    assert np.float64(r.pmax).tobytes() == sq[best].tobytes()
+    assert r.optimizer.factor_matrix().tobytes() == factors[best].tobytes()
 
 
 class TestStartRetirement:
@@ -221,6 +228,18 @@ class TestStartRetirement:
             random_state(6, rng, real=True), SolverConfig(restriction="real_plane")
         )
         _assert_matches_reference(random_state(7, rng), SolverConfig(n_starts=7, rng_seed=3))
+
+    @pytest.mark.parametrize("restriction", solver.RESTRICTIONS)
+    @pytest.mark.parametrize(
+        "psi",
+        [ghz(3), ghz(6), w(4), w(7), dicke(4, 2), dicke(6, 3), basis_state(3, 5), basis_state(5, 0)],
+        ids=["ghz3", "ghz6", "w4", "w7", "dicke4_2", "dicke6_3", "basis3_5", "basis5_0"],
+    )
+    def test_exact_zero_amplitudes_match_byte_for_byte(self, psi, restriction):
+        # Exact zero amplitudes give exact zero entries in environments and
+        # factors, whose sign only a byte comparison pins.
+        for n_starts in (1, 32):
+            _assert_matches_reference(psi, SolverConfig(n_starts=n_starts, restriction=restriction))
 
     def test_large_states_match_the_non_retiring_loop(self):
         rng = np.random.default_rng(11)
@@ -247,18 +266,17 @@ class TestStartRetirement:
 
     def test_retired_starts_leave_the_batch(self, monkeypatch):
         rows = []
-        real_env = solver.contract_tail
+        real_norms = solver._row_norms
 
-        def counting_env(prefix, tail):
-            env = real_env(prefix, tail)
-            rows.append(env.shape[0])
-            return env
+        def counting_norms(v, *buffers):
+            rows.append(v.shape[0])
+            return real_norms(v, *buffers)
 
-        monkeypatch.setattr(solver, "contract_tail", counting_env)
+        monkeypatch.setattr(solver, "_row_norms", counting_norms)
         r = pmax_alternating(_golden_states()[8])
-        # One environment per qubit per sweep, so the count is not vacuous.
-        # The plain loop sends 32 rows per qubit per sweep; retirement cut
-        # that to 72 % on this state (2218 of 3072 row-sweeps).
+        # One environment's norms per qubit per sweep, so the count is not
+        # vacuous.  The plain loop sends 32 rows per qubit per sweep;
+        # retirement cut that to 72 % on this state (2218 of 3072 row-sweeps).
         assert len(rows) == 8 * r.sweeps_used
         assert rows[0] == 32
         assert sum(rows) < 0.8 * 32 * 8 * r.sweeps_used
@@ -301,20 +319,37 @@ class TestStartRetirement:
 
 class TestSweepWorkspace:
     def test_row_norms_equal_the_library_norm(self):
+        # The norms the step computes, in the buffers it uses, and its divide
+        # by the complex norm column (zero imaginary part), each bit for bit
+        # against np.linalg.norm and the divide by a float column.  Bytes,
+        # not ==, which would take -0.0 for 0.0.
         rng = np.random.default_rng(20260)
         for m in (1, 2, 3, 7, 32, 33):
+            scratch = np.empty((m, 2), dtype=complex)
+            norm = np.zeros((m, 1), dtype=complex)
+            buffers = (scratch, scratch.real[:, 0], scratch.real[:, 1], norm.real[:, 0])
             for _ in range(50):
                 v = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
                 v *= 10.0 ** rng.uniform(-300, 150, size=(m, 1))
                 v[rng.random((m, 2)) < 0.2] = 0.0
                 v.real[rng.random((m, 2)) < 0.1] = 0.0
-                assert np.array_equal(solver._row_norms(v), np.linalg.norm(v, axis=1))
+                v.real[rng.random((m, 2)) < 0.1] = -0.0
+                v.imag[rng.random((m, 2)) < 0.1] = -0.0
+                norms = solver._row_norms(v, *buffers)
+                assert norms.tobytes() == np.linalg.norm(v, axis=1).tobytes()
+                ok = (norms > solver.DEGENERATE_ENV_NORM)[:, np.newaxis]
+                by_complex, by_float = np.zeros_like(v), np.zeros_like(v)
+                np.divide(v, norm, out=by_complex, where=ok)
+                np.divide(v, norms[:, np.newaxis], out=by_float, where=ok)
+                assert by_complex.tobytes() == by_float.tobytes()
+                assert not norm.imag.any()
 
     def test_sweeps_allocate_no_state_sized_arrays(self):
         # n = 16 with 32 starts: the workspace is about 64 MiB, allocated
-        # before the first sweep; a sweep itself allocates only (m, 2)
-        # environments and numpy's ufunc buffers (257 KiB).  Allocating the
-        # suffix products per sweep cost 32 MiB.
+        # before the first sweep; every step writes into its buffers, so a
+        # sweep allocates only its (m,) squared overlaps and convergence
+        # masks and numpy's buffers for the suffix-product multiply
+        # (257 KiB).  Allocating the suffix products per sweep cost 32 MiB.
         psi = random_state(16, np.random.default_rng(16))
         factors = solver._start_factors(psi, SolverConfig())
         transients = []
@@ -395,7 +430,7 @@ class TestMonotoneAscent:
             ascent_history(ghz(3), start)
 
     def test_decrease_raises(self, monkeypatch):
-        monkeypatch.setattr(solver, "contract_tail", _shrinking_env(solver.contract_tail))
+        monkeypatch.setattr(solver, "_row_norms", _inflated_norms(solver._row_norms))
         with pytest.raises(MonotonicityError, match="decreased"):
             pmax_alternating(ghz(3))
 
@@ -411,19 +446,29 @@ class TestMonotoneAscent:
         assert proc.stdout.split() == ["optimize=1", "raised"]
 
 
-def _shrinking_env(real_env):
-    """Environments scaled by 1e-3.  The starting overlap needs no environment
-    and the normalized factor updates ignore the scale, but each sweep reads
-    its closing overlap off the last environment, so the first sweep lowers
-    the squared overlap by a factor of 1e6."""
-    return lambda prefix, tail: real_env(prefix, tail) * 1e-3
+def _inflated_norms(real_norms):
+    """Row norms scaled by 1e3, in the buffer the step divides by.  The
+    starting overlap needs no norm, but every updated factor then has norm
+    1e-3, so the first sweep lowers the squared overlap of GHZ3 by a factor
+    of 1e18."""
+
+    def inflated(v, *buffers):
+        out = real_norms(v, *buffers)
+        out *= 1e3
+        return out
+
+    return inflated
 
 
 _DECREASE_UNDER_DASH_O = """
 import sys
 from groverian import MonotonicityError, ghz, pmax_alternating, solver
-real_env = solver.contract_tail
-solver.contract_tail = lambda prefix, tail: real_env(prefix, tail) * 1e-3
+real_norms = solver._row_norms
+def inflated(v, *buffers):
+    out = real_norms(v, *buffers)
+    out *= 1e3
+    return out
+solver._row_norms = inflated
 print(f"optimize={sys.flags.optimize}")
 try:
     pmax_alternating(ghz(3))
