@@ -6,31 +6,42 @@ vanish, and records the termwise ("flawed") maximum, the true maximum, the
 hyperplane obstruction, and the rewrite-identity deviation.
 
 Usage:
-    python scripts/run_refutation.py [--resolution 181] [--eps 1e-8] [--out refutation_report.json]
+    python scripts/run_refutation.py [--resolution 181] [--eps 1e-8]
+        [--identity-samples 100000] [--rng-seed 0] [--out refutation_report.json]
 
 --resolution is the number of t3 grid points for the true maximum; --eps is
-the max|J| below which an enumerated point is reported.
+the max|J| below which an enumerated point is reported; --identity-samples
+random triples, drawn from a generator seeded with --rng-seed, check the
+rewrite identity.  The options and the report are those of `groverian
+refute`; an invalid value prints `error: ...` on stderr and exits 2.
 """
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from groverian import refutation_report
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolution", type=int, default=181)
     ap.add_argument("--eps", type=float, default=1e-8)
     ap.add_argument("--identity-samples", type=int, default=10**5)
+    ap.add_argument("--rng-seed", type=int, default=0)
     ap.add_argument("--out", default="refutation_report.json")
     args = ap.parse_args()
 
-    report = refutation_report(
-        grid_resolution=args.resolution,
-        eps=args.eps,
-        identity_samples=args.identity_samples,
-    )
+    try:
+        report = refutation_report(
+            grid_resolution=args.resolution,
+            eps=args.eps,
+            identity_samples=args.identity_samples,
+            rng_seed=args.rng_seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"solutions found      : {len(report['solutions'])}")
@@ -42,7 +53,8 @@ def main() -> None:
     print(f"hyperplane residual  : {report['hyperplane_min_residual']:.12f} (term-max system, min |.|)")
     print(f"identity deviation   : {report['identity_deviation']:.3e}")
     print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -28,6 +28,10 @@ odd multiple of pi and therefore corresponds to no (t1, t2, t3) at all.
 Both sides are computed exactly: the all-zero points are enumerated from the
 closed-form zero sets of the J functions, and the true maximum reduces to a
 one-angle maximum of a top singular value (see :func:`constraint5_search`).
+The product-to-sum rewrite itself is checked numerically on random triples
+(:func:`substitution_identity_check`), in fixed blocks that the calling
+thread and one helper thread share; the deviation it reports is the same
+bits whichever thread checks which block.
 
 The public surface is what the CLI, the scripts and the tests read:
 :func:`refutation_report` (the ``refute`` output), :func:`constraint5_search`
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,21 +163,58 @@ def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
     """Max absolute deviation between the 3-angle objective and the
     substituted 4-angle objective over random triples in the angle box.
 
-    Time is linear in ``samples`` and memory is constant: the triples are
-    drawn and checked ``_IDENTITY_BLOCK`` at a time."""
+    The triples are drawn and checked ``_IDENTITY_BLOCK`` at a time, by the
+    calling thread and, when there are two blocks or more, one helper thread.
+    Each thread takes the next block index and draws that block's triples
+    under one lock, so block i always gets the same segment of the generator
+    stream (the one a single ``(samples, 3)`` draw would give it), whichever
+    thread runs it.  Each thread keeps a running max over its own blocks, and
+    the max of the two is exact, so the value does not depend on which thread
+    ran which block.  Time is linear in ``samples``; memory is constant, with
+    at most two blocks in flight.  numpy releases the GIL inside the blocks'
+    trig loops, so the threads run on two cores.  An exception in either
+    thread stops both from taking new blocks and is raised here; the helper
+    is joined before the call returns."""
     if samples < 1:
         raise ValueError(f"samples: must be >= 1, got {samples!r}")
     rng = np.random.default_rng(rng_seed)
-    deviation = 0.0
-    # Drawing the triples block by block takes the same generator stream as
-    # one (samples, 3) draw, so the result does not depend on the block size.
-    for start in range(0, samples, _IDENTITY_BLOCK):
-        size = min(_IDENTITY_BLOCK, samples - start)
-        t1, t2, t3 = rng.uniform(-_HALF_PI, _HALF_PI, size=(size, 3)).T
-        obj3 = _objective3(t1, t2, t3)
-        obj4 = _objective4(t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3)
-        deviation = max(deviation, float(np.max(np.abs(obj3 - obj4))))
-    return deviation
+    starts = iter(range(0, samples, _IDENTITY_BLOCK))
+    lock = threading.Lock()
+    failed = threading.Event()
+    maxima: list[float] = []
+    errors: list[BaseException] = []
+
+    def check_blocks() -> None:
+        deviation = 0.0
+        try:
+            while True:
+                with lock:
+                    start = None if failed.is_set() else next(starts, None)
+                    if start is None:
+                        break
+                    size = min(_IDENTITY_BLOCK, samples - start)
+                    t1, t2, t3 = rng.uniform(-_HALF_PI, _HALF_PI, size=(size, 3)).T
+                obj3 = _objective3(t1, t2, t3)
+                obj4 = _objective4(t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3)
+                deviation = max(deviation, float(np.max(np.abs(obj3 - obj4))))
+        except BaseException as exc:  # raised below, in the calling thread
+            failed.set()
+            errors.append(exc)
+        else:
+            maxima.append(deviation)
+
+    if samples <= _IDENTITY_BLOCK:
+        check_blocks()
+    else:
+        helper = threading.Thread(target=check_blocks, name="identity-check")
+        helper.start()
+        try:
+            check_blocks()
+        finally:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return max(maxima)
 
 
 def constraint5_search(grid_resolution: int = 181, eps: float = 1e-8) -> ConstraintSearchReport:

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,8 @@ from groverian import (
     substitution_identity_check,
     transform_to_wxyz,
 )
-from groverian.refutation import _objective3, _objective4
+from groverian import refutation
+from groverian.refutation import _IDENTITY_BLOCK, _objective3, _objective4
 
 PI = math.pi
 Q = math.pi / 4.0
@@ -137,7 +140,9 @@ def one_shot_identity_check(samples, rng_seed):
 
 class TestStreamedIdentityCheck:
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
-    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 3 * 4096 + 17, 10**5])
+    @pytest.mark.parametrize(
+        "samples", [1, 4095, 4096, 4097, 2 * 4096, 2 * 4096 + 1, 3 * 4096 + 17, 10**5]
+    )
     def test_equals_the_one_shot_check(self, samples, seed):
         assert substitution_identity_check(samples, seed) == one_shot_identity_check(samples, seed)
 
@@ -149,6 +154,107 @@ class TestStreamedIdentityCheck:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20  # the one-shot check peaks near 80 MiB
+
+
+class TestIdentityCheckThreads:
+    """The caller and one helper thread split the blocks of the identity check;
+    the value must not depend on which thread runs which block."""
+
+    @pytest.mark.parametrize("stalled", ["caller", "helper"])
+    def test_skewed_schedule_gives_the_one_shot_value(self, monkeypatch, stalled):
+        # One thread stops on its first block until the other has checked
+        # every other block, so one thread runs 1 block and the other 24.
+        samples, seed = 10**5, 11
+        n_blocks = -(-samples // _IDENTITY_BLOCK)
+        started, released = threading.Event(), threading.Event()
+        counts = {}
+
+        def skewed_objective3(t1, t2, t3):
+            is_caller = threading.current_thread() is threading.main_thread()
+            role = "caller" if is_caller else "helper"
+            first = role not in counts
+            counts[role] = counts.get(role, 0) + 1
+            if role == stalled and first:
+                started.set()
+                assert released.wait(timeout=60)
+            elif first:
+                assert started.wait(timeout=60)
+            value = _objective3(t1, t2, t3)
+            if role != stalled and counts[role] == n_blocks - 1:
+                released.set()
+            return value
+
+        monkeypatch.setattr(refutation, "_objective3", skewed_objective3)
+        got = substitution_identity_check(samples, seed)
+        assert counts[stalled] == 1
+        assert sum(counts.values()) == n_blocks
+        assert got == one_shot_identity_check(samples, seed)
+
+    def test_concurrent_callers_each_get_the_one_shot_value(self):
+        # Two callers and their helpers make four threads on two cores; a short
+        # switch interval interleaves them between almost every bytecode.
+        cases = [(10**5, 0), (3 * 4096 + 17, 2**40)]
+        barrier = threading.Barrier(len(cases))
+        results = [None] * len(cases)
+
+        def call(i, samples, seed):
+            barrier.wait(timeout=60)
+            results[i] = substitution_identity_check(samples, seed)
+
+        callers = [
+            threading.Thread(target=call, args=(i, *case)) for i, case in enumerate(cases)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [one_shot_identity_check(*case) for case in cases]
+
+    def test_exception_reaches_the_caller_and_no_thread_survives(self, monkeypatch):
+        calls = []
+        lock = threading.Lock()
+
+        def failing_objective4(w, x, y, z):
+            with lock:
+                calls.append(threading.current_thread())
+                if len(calls) == 5:
+                    raise RuntimeError("objective4 failed on its 5th call")
+            return _objective4(w, x, y, z)
+
+        monkeypatch.setattr(refutation, "_objective4", failing_objective4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="5th call"):
+            substitution_identity_check(10**5)
+        assert threading.active_count() == before
+        # After the failure each thread finishes at most the block it holds;
+        # neither takes the remaining ~20 of the 25 blocks.
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_exception_in_either_thread_reaches_the_caller(self, monkeypatch, failing):
+        # The other thread holds its first block until the failing one has
+        # raised, so the failing thread is sure to run a block.
+        raised = threading.Event()
+
+        def failing_objective3(t1, t2, t3):
+            is_caller = threading.current_thread() is threading.main_thread()
+            if ("caller" if is_caller else "helper") == failing:
+                raised.set()
+                raise RuntimeError(f"objective3 failed in the {failing}")
+            assert raised.wait(timeout=60)
+            return _objective3(t1, t2, t3)
+
+        monkeypatch.setattr(refutation, "_objective3", failing_objective3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"in the {failing}"):
+            substitution_identity_check(10**5)
+        assert threading.active_count() == before
 
 
 class TestJVector:

@@ -7,18 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+from groverian import refutation_report
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, cwd):
+def run_script(name, *args, cwd, returncode=0):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 def read_csv(path):
@@ -28,7 +30,7 @@ def read_csv(path):
 
 def test_family_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
-    stdout = run_script("family_sweep.py", "--seeds", 4, "--out", out, cwd=tmp_path)
+    stdout = run_script("family_sweep.py", "--seeds", 4, "--out", out, cwd=tmp_path).stdout
     rows = read_csv(out)
     # gGHZ at 19 weights for n = 3 and 5, W for n = 2..8, Dicke for n = 2..6.
     assert len(rows) == 2 * 19 + 7 + sum(n + 1 for n in range(2, 7))
@@ -59,3 +61,23 @@ def test_run_refutation(tmp_path):
     assert report["flawed_max"] == 1.0
     assert report["true_max"] == 0.5
     assert report["identity_deviation"] < 1e-12
+
+
+def test_run_refutation_forwards_the_seed(tmp_path):
+    out = tmp_path / "report.json"
+    run_script(
+        "run_refutation.py", "--resolution", 41, "--identity-samples", 1000, "--rng-seed", 7,
+        "--out", out, cwd=tmp_path,
+    )
+    assert json.loads(out.read_text()) == refutation_report(
+        grid_resolution=41, identity_samples=1000, rng_seed=7
+    )
+
+
+def test_run_refutation_rejects_zero_samples(tmp_path):
+    out = tmp_path / "report.json"
+    proc = run_script(
+        "run_refutation.py", "--identity-samples", 0, "--out", out, cwd=tmp_path, returncode=2
+    )
+    assert proc.stderr == "error: samples: must be >= 1, got 0\n"
+    assert not out.exists()
