@@ -6,9 +6,13 @@ qubits, and all Dicke states up to 6 qubits; writes one CSV of
 (family, parameters, closed form, solver value, |difference|).
 
 Usage:
-    python scripts/family_sweep.py [--out family_sweep.csv]
+    python scripts/family_sweep.py [--seeds 32] [--rng-seed 0] [--out family_sweep.csv]
+
+An invalid solver option prints `error: ...` on stderr and exits 2, before
+anything is written.
 """
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +30,17 @@ def sweep_specs() -> list:
     )
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=32)
     ap.add_argument("--rng-seed", type=int, default=0)
     ap.add_argument("--out", default="family_sweep.csv")
     args = ap.parse_args()
-    cfg = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
+    try:
+        cfg = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rows = [("family", "params", "closed_form", "solver", "abs_diff")]
     for name, params in sweep_specs():
@@ -47,7 +55,8 @@ def main() -> None:
     worst = max(float(r[4]) for r in rows[1:])
     print(f"{len(rows) - 1} comparisons, worst |closed - solver| = {worst:.3e}")
     print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

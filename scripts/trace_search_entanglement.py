@@ -5,9 +5,14 @@ Writes one CSV per register size (iteration, success probability, best
 product overlap, Groverian measure) and prints where the entanglement peaks.
 
 Usage:
-    python scripts/trace_search_entanglement.py [--iterations-factor 2] [--out-dir .]
+    python scripts/trace_search_entanglement.py [--iterations-factor 2] [--seeds 32]
+        [--rng-seed 0] [--out-dir .]
+
+An invalid solver option prints `error: ...` on stderr and exits 2, before
+anything is written.
 """
 import argparse
+import sys
 from pathlib import Path
 
 from groverian import GroverConfig, SolverConfig, optimal_iterations, run_trace, trace_to_csv
@@ -15,7 +20,7 @@ from groverian import GroverConfig, SolverConfig, optimal_iterations, run_trace,
 CASES = [(3, 5), (5, 7)]  # (n_qubits, marked index)
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--iterations-factor", type=float, default=2.0,
                     help="trace length as a multiple of the optimal count (default 2.0)")
@@ -23,10 +28,14 @@ def main() -> None:
     ap.add_argument("--rng-seed", type=int, default=0)
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()
+    try:
+        solver = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    solver = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
 
     for n, marked in CASES:
         k_star = optimal_iterations(n)
@@ -42,7 +51,8 @@ def main() -> None:
         print(f"  success at optimum     : {final.success_probability:.12f}")
         print(f"  groverian peak         : {peak.groverian:.6f} at iteration {peak.iteration}")
         print(f"  groverian at optimum   : {final.groverian:.6f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

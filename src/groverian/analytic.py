@@ -27,13 +27,6 @@ class AnalyticResult:
     separable: bool = False
 
 
-def groverian_from_pmax(pmax: float) -> float:
-    """sqrt(1 - pmax); zero exactly when pmax = 1."""
-    if not 0.0 < pmax <= 1.0:
-        raise ValueError(f"pmax: must lie in (0, 1], got {pmax!r}")
-    return _groverian(pmax)
-
-
 def _groverian(pmax: float) -> float:
     """sqrt(1 - pmax) with no range check, clamped at 0: a solver's P_max
     can exceed 1 by rounding (1.0000000000000018 on product states)."""

@@ -128,7 +128,6 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    SolverConfig(rng_seed=args.rng_seed)  # the seed range every subcommand checks
     report = refutation.refutation_report(
         grid_resolution=args.resolution,
         eps=args.eps,

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RealAngles
+from .states import RealAngles, _check_seed
 
 _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
@@ -164,7 +164,7 @@ def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
     substituted 4-angle objective over random triples in the angle box.
 
     The triples are drawn and checked ``_IDENTITY_BLOCK`` at a time, by the
-    calling thread and, when there are two blocks or more, one helper thread.
+    calling thread and one helper thread.
     Each thread takes the next block index and draws that block's triples
     under one lock, so block i always gets the same segment of the generator
     stream (the one a single ``(samples, 3)`` draw would give it), whichever
@@ -175,6 +175,7 @@ def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
     trig loops, so the threads run on two cores.  An exception in either
     thread stops both from taking new blocks and is raised here; the helper
     is joined before the call returns."""
+    _check_seed(rng_seed)
     if samples < 1:
         raise ValueError(f"samples: must be >= 1, got {samples!r}")
     rng = np.random.default_rng(rng_seed)
@@ -203,15 +204,12 @@ def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
         else:
             maxima.append(deviation)
 
-    if samples <= _IDENTITY_BLOCK:
+    helper = threading.Thread(target=check_blocks, name="identity-check")
+    helper.start()
+    try:
         check_blocks()
-    else:
-        helper = threading.Thread(target=check_blocks, name="identity-check")
-        helper.start()
-        try:
-            check_blocks()
-        finally:
-            helper.join()
+    finally:
+        helper.join()
     if errors:
         raise errors[0]
     return max(maxima)

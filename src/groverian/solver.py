@@ -42,17 +42,15 @@ import numpy as np
 
 from .analytic import _groverian
 from .states import (
-    AMPLITUDE_BUDGET,
-    NormalizationError,
     ProductState,
     PureState,
     RealAngles,
     SingleQubitState,
+    _check_budget,
     _check_same_size,
+    _check_seed,
+    batch_environment,
     batch_overlap,
-    contract_leading,
-    contract_tail,
-    tail_products,
 )
 
 RESTRICTIONS = ("full_bloch", "real_plane")
@@ -91,8 +89,7 @@ class SolverConfig:
             raise ValueError(f"max_sweeps: must be >= 1, got {self.max_sweeps!r}")
         if not self.tol > 0.0:
             raise ValueError(f"tol: must be > 0, got {self.tol!r}")
-        if not 0 <= self.rng_seed < 2**64:
-            raise ValueError(f"rng_seed: must be an unsigned 64-bit integer, got {self.rng_seed!r}")
+        _check_seed(self.rng_seed)
         if self.restriction not in RESTRICTIONS:
             raise ValueError(
                 f"restriction: must be one of {RESTRICTIONS}, got {self.restriction!r}"
@@ -121,11 +118,7 @@ class PmaxResult:
 def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> PmaxResult:
     """Maximize |<product|psi>|**2 by multi-start alternating factor updates."""
     n = psi.n_qubits
-    _check_budget(cfg.n_starts, n)
-    norm_sq = float(np.sum(np.abs(psi.amplitudes) ** 2))
-    if abs(norm_sq - 1.0) > 1e-10:
-        raise NormalizationError(f"psi: squared norm {norm_sq!r} is not 1 within 1e-10")
-
+    _check_budget(cfg.n_starts * 2**n, "n_starts", f"{cfg.n_starts} starts x 2**{n} amplitudes")
     factors = _start_factors(psi, cfg)
     sq, factors, conv_at, sweeps = _batched_ascent(
         psi.amplitudes, factors, cfg.max_sweeps, cfg.tol
@@ -163,18 +156,15 @@ def gradient_real(psi: PureState, angles: RealAngles) -> np.ndarray:
 
     d/d(theta_i) replaces factor i by (-sin(theta_i), cos(theta_i)) inside the
     amplitude sum: grad_i = 2 * A * (d_i . v_i) with v_i the contraction of
-    psi against all other factors.
+    psi against all other factors.  Each v_i is one
+    :func:`groverian.states.batch_environment` call, so the gradient costs
+    O(n * 2**n).
     """
     a = _real_inputs(psi, angles)
-    n = psi.n_qubits
     cs = _real_factors(angles.thetas)[np.newaxis]  # (1, n, 2) factor amplitudes
     ds = cs[0, :, ::-1] * [-1.0, 1.0]  # (n, 2) factor derivatives (-sin, cos)
-    tails = tail_products(cs)
-    envs = np.empty((n, 2))
-    for i in range(n):
-        envs[i] = contract_tail(a, tails[i + 1])[0]
-        a = contract_leading(a, cs[:, i])
-    amplitude = float(a[0, 0])  # a is now psi contracted with every factor
+    envs = np.stack([batch_environment(a, cs, i)[0] for i in range(psi.n_qubits)])
+    amplitude = float(batch_overlap(a, cs)[0])
     return 2.0 * amplitude * np.sum(ds * envs, axis=1)
 
 
@@ -190,11 +180,9 @@ def pmax_gridsearch(psi: PureState, resolution: int) -> float:
     if resolution < 3:
         raise ValueError(f"resolution: must be >= 3, got {resolution!r}")
     n = psi.n_qubits
-    if 2 * resolution ** (n - 1) > AMPLITUDE_BUDGET:
-        raise ValueError(
-            f"resolution: grid of 2 * {resolution}**{n - 1} values exceeds the "
-            f"{AMPLITUDE_BUDGET}-element budget"
-        )
+    _check_budget(
+        2 * resolution ** (n - 1), "resolution", f"grid of 2 * {resolution}**{n - 1} values"
+    )
     a = _real_amplitudes(psi).reshape((2,) * n)
     c = _real_factors(np.linspace(-math.pi / 2, math.pi / 2, resolution))
     for _ in range(n - 1):
@@ -212,7 +200,7 @@ def ascent_history(
     start's own squared overlap).  Exposed for diagnostics and for checking
     the monotone-ascent guarantee directly."""
     _check_same_size(psi, start)
-    _check_budget(1, psi.n_qubits)
+    _check_budget(2**psi.n_qubits, "n_starts", f"1 start x 2**{psi.n_qubits} amplitudes")
     factors = start.factor_matrix()[np.newaxis, :, :].copy()
     history = [float(np.abs(batch_overlap(psi.amplitudes[np.newaxis], factors)[0]) ** 2)]
 
@@ -479,14 +467,6 @@ def _row_norms(
     np.multiply(scratch, v, scratch)
     np.add(left, right, out)
     return np.sqrt(out, out)
-
-
-def _check_budget(n_starts: int, n: int) -> None:
-    if n_starts * 2**n > AMPLITUDE_BUDGET:
-        raise ValueError(
-            f"n_starts: {n_starts} starts x 2**{n} amplitudes exceeds the "
-            f"{AMPLITUDE_BUDGET}-element budget of the batched solver; use fewer starts"
-        )
 
 
 def _real_factors(thetas) -> np.ndarray:

@@ -317,6 +317,19 @@ def _check_n(n: int, name: str) -> None:
         )
 
 
+def _check_budget(elements: int, field: str, what: str) -> None:
+    """Refuse an array of ``elements`` entries above ``AMPLITUDE_BUDGET``;
+    the error names ``field`` and describes the array as ``what``."""
+    if elements > AMPLITUDE_BUDGET:
+        raise ValueError(f"{field}: {what} exceeds the {AMPLITUDE_BUDGET}-element budget")
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a generator seed outside the unsigned 64-bit range."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"rng_seed: must be an unsigned 64-bit integer, got {seed!r}")
+
+
 # ----------------------------------------------------------------------------
 # Overlaps and contractions
 # ----------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from groverian import (
     SolverConfig,
     dicke,
     gghz,
-    groverian_from_pmax,
     pmax_alternating,
     pmax_dicke,
     pmax_gghz,
@@ -89,22 +88,6 @@ class TestDicke:
             r = pmax_dicke(n, k)
             assert 0.0 < r.pmax <= 1.0
             assert r.groverian == pytest.approx(math.sqrt(1.0 - r.pmax), abs=1e-15)
-
-
-class TestGroverianFromPmax:
-    def test_product_state_measures_zero(self):
-        assert groverian_from_pmax(1.0) == 0.0
-
-    def test_balanced(self):
-        assert groverian_from_pmax(0.5) == pytest.approx(0.7071067811865476, abs=1e-15)
-
-    def test_w4_value(self):
-        assert groverian_from_pmax(27.0 / 64.0) == pytest.approx(math.sqrt(37.0) / 8.0, abs=1e-15)
-
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0 + 1e-9])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError, match="pmax"):
-            groverian_from_pmax(bad)
 
 
 class TestSolverAgreement:

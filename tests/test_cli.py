@@ -345,6 +345,7 @@ class TestFlagSurface:
         [
             ["analytic", "--family", "w:5", "--seeds", "0"],  # checked without --verify
             ["refute", "--rng-seed", "-1", "--identity-samples", "10"],
+            ["refute", "--rng-seed", str(2**64), "--identity-samples", "10"],
         ],
     )
     def test_unused_flag_is_still_checked(self, capsys, argv):

@@ -128,6 +128,13 @@ class TestObjectives:
         with pytest.raises(ValueError, match="samples"):
             substitution_identity_check(0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_identity_check_validates_the_seed(self, seed):
+        # The seed range of SolverConfig, so the library, `groverian refute`
+        # and scripts/run_refutation.py refuse the same seeds.
+        with pytest.raises(ValueError, match="rng_seed"):
+            substitution_identity_check(10, rng_seed=seed)
+
 
 def one_shot_identity_check(samples, rng_seed):
     """The identity check with every sample drawn at once."""
@@ -144,7 +151,9 @@ class TestStreamedIdentityCheck:
         "samples", [1, 4095, 4096, 4097, 2 * 4096, 2 * 4096 + 1, 3 * 4096 + 17, 10**5]
     )
     def test_equals_the_one_shot_check(self, samples, seed):
+        threads = threading.active_count()
         assert substitution_identity_check(samples, seed) == one_shot_identity_check(samples, seed)
+        assert threading.active_count() == threads  # the helper was joined
 
     def test_memory_does_not_grow_with_samples(self):
         tracemalloc.start()

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from groverian import refutation_report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +83,30 @@ def test_run_refutation_rejects_zero_samples(tmp_path):
     )
     assert proc.stderr == "error: samples: must be >= 1, got 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "script, args, stderr",
+    [
+        ("family_sweep.py", ["--seeds", 0], "error: n_starts: must be >= 1, got 0\n"),
+        (
+            "family_sweep.py", ["--rng-seed", -1],
+            "error: rng_seed: must be an unsigned 64-bit integer, got -1\n",
+        ),
+        ("trace_search_entanglement.py", ["--seeds", 0], "error: n_starts: must be >= 1, got 0\n"),
+        (
+            "trace_search_entanglement.py", ["--rng-seed", -1],
+            "error: rng_seed: must be an unsigned 64-bit integer, got -1\n",
+        ),
+        (
+            "run_refutation.py", ["--rng-seed", 2**64],
+            "error: rng_seed: must be an unsigned 64-bit integer, got 18446744073709551616\n",
+        ),
+    ],
+    ids=["sweep-seeds", "sweep-rng-seed", "trace-seeds", "trace-rng-seed", "refutation-rng-seed"],
+)
+def test_bad_option_exits_2_before_writing(tmp_path, script, args, stderr):
+    out = "--out-dir" if script == "trace_search_entanglement.py" else "--out"
+    proc = run_script(script, *args, out, tmp_path / "out", cwd=tmp_path, returncode=2)
+    assert proc.stderr == stderr
+    assert list(tmp_path.iterdir()) == []

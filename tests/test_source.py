@@ -96,3 +96,23 @@ def test_budgets_only_in_states():
                     and name.id.endswith("_BUDGET")
                 ]
     assert found == [], f"module-level budgets outside states.py: {found}"
+
+
+def test_amplitude_budget_read_only_in_states():
+    # states._check_budget is the one comparison against AMPLITUDE_BUDGET; a
+    # module that imports or names the budget can compare against it again.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names if name == "AMPLITUDE_BUDGET"]
+    assert found == [], f"AMPLITUDE_BUDGET outside states.py: {found}"
