@@ -8,8 +8,9 @@ qubits, and all Dicke states up to 6 qubits; writes one CSV of
 Usage:
     python scripts/family_sweep.py [--seeds 32] [--rng-seed 0] [--out family_sweep.csv]
 
-An invalid solver option prints `error: ...` on stderr and exits 2, before
-anything is written.
+An invalid option, a value the solver refuses or a failed write prints
+`error: ...` on stderr and exits as `groverian` does (2, or 4 for I/O); the
+CSV is written after every solve, so a refused value writes nothing.
 """
 import argparse
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from groverian import FAMILIES, SolverConfig, make_family, pmax_alternating
+from groverian.cli import run
 
 
 def sweep_specs() -> list:
@@ -36,11 +38,7 @@ def main() -> int:
     ap.add_argument("--rng-seed", type=int, default=0)
     ap.add_argument("--out", default="family_sweep.csv")
     args = ap.parse_args()
-    try:
-        cfg = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
 
     rows = [("family", "params", "closed_form", "solver", "abs_diff")]
     for name, params in sweep_specs():
@@ -59,4 +57,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

@@ -13,7 +13,8 @@ Usage:
 the max|J| below which an enumerated point is reported; --identity-samples
 random triples, drawn from a generator seeded with --rng-seed, check the
 rewrite identity.  The options and the report are those of `groverian
-refute`; an invalid value prints `error: ...` on stderr and exits 2.
+refute`; an invalid value or a failed write prints `error: ...` on stderr
+and exits as `groverian` does (2, or 4 for I/O).
 """
 import argparse
 import json
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 
 from groverian import refutation_report
+from groverian.cli import run
 
 
 def main() -> int:
@@ -32,16 +34,12 @@ def main() -> int:
     ap.add_argument("--out", default="refutation_report.json")
     args = ap.parse_args()
 
-    try:
-        report = refutation_report(
-            grid_resolution=args.resolution,
-            eps=args.eps,
-            identity_samples=args.identity_samples,
-            rng_seed=args.rng_seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = refutation_report(
+        grid_resolution=args.resolution,
+        eps=args.eps,
+        identity_samples=args.identity_samples,
+        rng_seed=args.rng_seed,
+    )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"solutions found      : {len(report['solutions'])}")
@@ -57,4 +55,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

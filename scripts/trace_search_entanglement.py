@@ -8,14 +8,16 @@ Usage:
     python scripts/trace_search_entanglement.py [--iterations-factor 2] [--seeds 32]
         [--rng-seed 0] [--out-dir .]
 
-An invalid solver option prints `error: ...` on stderr and exits 2, before
-anything is written.
+An invalid option, a value the solver refuses or a failed write prints
+`error: ...` on stderr and exits as `groverian` does (2, or 4 for I/O);
+--out-dir is created after the first solve, just before the first write.
 """
 import argparse
 import sys
 from pathlib import Path
 
 from groverian import GroverConfig, SolverConfig, optimal_iterations, run_trace, trace_to_csv
+from groverian.cli import run
 
 CASES = [(3, 5), (5, 7)]  # (n_qubits, marked index)
 
@@ -28,20 +30,15 @@ def main() -> int:
     ap.add_argument("--rng-seed", type=int, default=0)
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()
-    try:
-        solver = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    solver = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     for n, marked in CASES:
         k_star = optimal_iterations(n)
         iterations = max(k_star, round(args.iterations_factor * k_star))
         rows = run_trace(GroverConfig(n, marked, iterations=iterations, solver=solver))
         path = out_dir / f"grover_trace_n{n}.csv"
+        out_dir.mkdir(parents=True, exist_ok=True)
         path.write_text(trace_to_csv(rows))
 
         peak = max(rows, key=lambda r: r.groverian)
@@ -55,4 +52,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(main))

@@ -17,8 +17,9 @@ e.g. ``ghz:3``, ``gghz:3,a2=0.64``, ``dicke:n=4,k=2``) or from a JSON file
 ``--file path`` with schema {"n": int, "amplitudes": [[re, im], ...]}.
 
 Exit codes: 0 success, 2 input/parse error, 3 normalization error,
-4 I/O error.  All floating output uses 12 significant digits, and identical
-flags (including --rng-seed) give byte-identical output.
+4 I/O error; :func:`run` maps library errors to them for the CLI and the
+experiment scripts.  All floating output uses 12 significant digits, and
+identical flags (including --rng-seed) give byte-identical output.
 """
 from __future__ import annotations
 
@@ -55,17 +56,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and flag errors
         return int(exc.code or 0)
+    return run(args.handler, args)
+
+
+def run(work, *args) -> int:
+    """Return the exit code ``work(*args)`` returns.  A ValueError or OSError
+    it raises is printed as ``error: ...`` on stderr instead, and returns
+    EXIT_NORMALIZATION for a NormalizationError, EXIT_INPUT for any other
+    ValueError and EXIT_IO for an OSError."""
     try:
-        return args.handler(args)
-    except NormalizationError as exc:
+        return work(*args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NORMALIZATION
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, NormalizationError):
+            return EXIT_NORMALIZATION
+        return EXIT_INPUT if isinstance(exc, ValueError) else EXIT_IO
 
 
 def entrypoint() -> None:
@@ -89,13 +94,7 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
             for f in result.optimizer.factors
         ],
     }
-    if args.fmt == "csv":
-        _emit_csv_row(
-            ("pmax", "groverian", "converged", "sweeps_used"),
-            (payload["pmax"], payload["groverian"], payload["converged"], payload["sweeps_used"]),
-        )
-    else:
-        _emit_json(payload)
+    _emit(payload, args.fmt)
     return EXIT_OK
 
 
@@ -120,10 +119,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         solver_pmax = pmax_alternating(entry.build(**bound), solver).pmax
         payload["solver_pmax"] = solver_pmax
         payload["verify_abs_diff"] = abs(solver_pmax - result.pmax)
-    if args.fmt == "csv":
-        _emit_csv_row(tuple(payload.keys()), tuple(payload.values()))
-    else:
-        _emit_json(payload)
+    _emit(payload, args.fmt)
     return EXIT_OK
 
 
@@ -134,7 +130,7 @@ def _cmd_refute(args: argparse.Namespace) -> int:
         identity_samples=args.identity_samples,
         rng_seed=args.rng_seed,
     )
-    _emit_json(report)
+    _emit(report)
     return EXIT_OK
 
 
@@ -148,7 +144,7 @@ def _cmd_grover_trace(args: argparse.Namespace) -> int:
     rows = run_trace(cfg)
     Path(args.output).write_text(trace_to_csv(rows))
     last = rows[-1]
-    _emit_json(
+    _emit(
         {
             "n": cfg.n_qubits,
             "marked": cfg.marked_index,
@@ -303,20 +299,20 @@ def _round12(value):
     return value
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(_round12(payload)))
-
-
-def _emit_csv_row(header: tuple, values: tuple) -> None:
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return f"{v:#.12g}"
-        return str(v)
-
-    print(",".join(header))
-    print(",".join(fmt(v) for v in values))
+def _emit(payload: dict, fmt: str = "json") -> None:
+    """Print the payload as one JSON line, or as a CSV header and one row of
+    its non-list fields."""
+    if fmt == "json":
+        print(json.dumps(_round12(payload)))
+        return
+    row = {k: v for k, v in payload.items() if not isinstance(v, list)}
+    print(",".join(row))
+    print(",".join(
+        ("true" if v else "false") if isinstance(v, bool)
+        else f"{v:#.12g}" if isinstance(v, float)
+        else str(v)
+        for v in row.values()
+    ))
 
 
 if __name__ == "__main__":

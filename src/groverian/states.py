@@ -508,7 +508,7 @@ def state_from_dict(data: dict, normalize: bool = False) -> PureState:
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not all(isinstance(v, (int, float)) for v in entry)
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
         ):
             raise ValueError(f"state file: amplitudes[{i}] must be a [re, im] pair")
         amps[i] = complex(entry[0], entry[1])

@@ -1,5 +1,6 @@
 """End-to-end command tests: output schemas, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from groverian import ghz, pmax_w, random_state, save_state_json
-from groverian.cli import _build_parser, main
+from groverian import SolverConfig, ghz, pmax_w, random_state, refutation_report, save_state_json
+from groverian.cli import _build_parser, _solver_config, main
 
 import numpy as np
 
@@ -351,6 +352,23 @@ class TestFlagSurface:
     def test_unused_flag_is_still_checked(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, err
+
+    def test_solver_flag_defaults_are_the_library_defaults(self):
+        # The parser repeats SolverConfig's defaults as literals.
+        args = _build_parser().parse_args(["pmax", "--family", "ghz:3"])
+        assert _solver_config(args) == SolverConfig()
+
+    def test_refute_flag_defaults_are_the_library_defaults(self):
+        # The parser repeats refutation_report's defaults as literals.
+        args = _build_parser().parse_args(["refute"])
+        parsed = {
+            "grid_resolution": args.resolution,
+            "eps": args.eps,
+            "identity_samples": args.identity_samples,
+            "rng_seed": args.rng_seed,
+        }
+        params = inspect.signature(refutation_report).parameters
+        assert parsed == {name: p.default for name, p in params.items()}
 
 
 class TestDeterminismAndRoundTrip:

@@ -85,6 +85,11 @@ def test_run_refutation_rejects_zero_samples(tmp_path):
     assert not out.exists()
 
 
+START_BUDGET_ERROR = (
+    "error: n_starts: 2097153 starts x 2**3 amplitudes exceeds the 16777216-element budget\n"
+)
+
+
 @pytest.mark.parametrize(
     "script, args, stderr",
     [
@@ -102,11 +107,34 @@ def test_run_refutation_rejects_zero_samples(tmp_path):
             "run_refutation.py", ["--rng-seed", 2**64],
             "error: rng_seed: must be an unsigned 64-bit integer, got 18446744073709551616\n",
         ),
+        # Refused by the first solve, not by SolverConfig.
+        ("family_sweep.py", ["--seeds", 2097153], START_BUDGET_ERROR),
+        ("trace_search_entanglement.py", ["--seeds", 2097153], START_BUDGET_ERROR),
     ],
-    ids=["sweep-seeds", "sweep-rng-seed", "trace-seeds", "trace-rng-seed", "refutation-rng-seed"],
+    ids=[
+        "sweep-seeds", "sweep-rng-seed", "trace-seeds", "trace-rng-seed", "refutation-rng-seed",
+        "sweep-start-budget", "trace-start-budget",
+    ],
 )
 def test_bad_option_exits_2_before_writing(tmp_path, script, args, stderr):
     out = "--out-dir" if script == "trace_search_entanglement.py" else "--out"
     proc = run_script(script, *args, out, tmp_path / "out", cwd=tmp_path, returncode=2)
     assert proc.stderr == stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "script, args, out",
+    [
+        ("family_sweep.py", ["--seeds", 4], ["--out", "missing/x"]),
+        ("trace_search_entanglement.py", ["--seeds", 4], ["--out-dir", "file/sub"]),
+        ("run_refutation.py", ["--resolution", 41, "--identity-samples", 1000], ["--out", "missing/x"]),
+    ],
+    ids=["sweep", "trace", "refutation"],
+)
+def test_unwritable_output_exits_4(tmp_path, script, args, out):
+    (tmp_path / "file").touch()
+    flag, target = out
+    proc = run_script(script, *args, flag, tmp_path / target, cwd=tmp_path, returncode=4)
+    assert proc.stderr.startswith("error: [Errno")
+    assert proc.stderr.count("\n") == 1  # one line, no traceback

@@ -10,7 +10,8 @@ import pytest
 import groverian
 from groverian.states import FAMILIES
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "groverian"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "groverian"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -36,6 +37,17 @@ def test_imports_only_stdlib_numpy_and_itself(path):
             found.append((node.lineno, node.module))
     bad = [(line, name) for line, name in found if name.split(".")[0] not in allowed]
     assert bad == [], f"{path.name}: imports outside stdlib, numpy and groverian: {bad}"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_scripts_exit_through_cli_run(path):
+    # groverian.cli.run is the one mapping of library errors to exit codes; a
+    # try statement in a script is a second copy of it that can drift.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    tries = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Try)]
+    assert tries == [], f"{path.name}: try statements at lines {tries}"
+    calls = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert "run(main)" in calls, f"{path.name}: does not call run(main)"
 
 
 @pytest.mark.parametrize(

@@ -406,6 +406,17 @@ class TestStateFile:
         with pytest.raises(ValueError, match="positive integer"):
             state_from_dict({"n": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
 
+    @pytest.mark.parametrize(
+        "amplitudes, index",
+        [([[True, False], [False, False]], 0), ([[1.0, 0.0], [0.0, False]], 1)],
+        ids=["all-bool", "one-bool"],
+    )
+    def test_rejects_bool_amplitudes(self, amplitudes, index):
+        # JSON true/false load as Python bools, which are ints; they are not numbers here.
+        message = rf"^state file: amplitudes\[{index}\] must be a \[re, im\] pair$"
+        with pytest.raises(ValueError, match=message):
+            state_from_dict({"n": 1, "amplitudes": amplitudes})
+
     def test_rejects_malformed_entries(self):
         with pytest.raises(ValueError, match="amplitudes"):
             state_from_dict({"n": 1, "amplitudes": [[1.0], [0.0, 0.0]]})
