@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Trace the Groverian measure through Grover search for 3 and 5 qubits.
 
-Writes one CSV per register size (iteration, success probability, best
-product overlap, Groverian measure) and prints where the entanglement peaks.
+Writes one CSV per register size over twice the optimal iteration count
+(iteration, success probability, best product overlap, Groverian measure)
+and prints where the entanglement peaks.
 
 Usage:
-    python scripts/trace_search_entanglement.py [--iterations-factor 2] [--seeds 32]
-        [--rng-seed 0] [--out-dir .]
+    python scripts/trace_search_entanglement.py [--seeds 32] [--rng-seed 0] [--out-dir .]
 
 An invalid option, a value the solver refuses or a failed write prints
 `error: ...` on stderr and exits as `groverian` does (2, or 4 for I/O);
@@ -24,8 +24,6 @@ CASES = [(3, 5), (5, 7)]  # (n_qubits, marked index)
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--iterations-factor", type=float, default=2.0,
-                    help="trace length as a multiple of the optimal count (default 2.0)")
     ap.add_argument("--seeds", type=int, default=32, help="solver starts per row")
     ap.add_argument("--rng-seed", type=int, default=0)
     ap.add_argument("--out-dir", default=".")
@@ -35,8 +33,7 @@ def main() -> int:
 
     for n, marked in CASES:
         k_star = optimal_iterations(n)
-        iterations = max(k_star, round(args.iterations_factor * k_star))
-        rows = run_trace(GroverConfig(n, marked, iterations=iterations, solver=solver))
+        rows = run_trace(GroverConfig(n, marked, iterations=2 * k_star, solver=solver))
         path = out_dir / f"grover_trace_n{n}.csv"
         out_dir.mkdir(parents=True, exist_ok=True)
         path.write_text(trace_to_csv(rows))

@@ -73,10 +73,6 @@ def run(work, *args) -> int:
         return EXIT_INPUT if isinstance(exc, ValueError) else EXIT_IO
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 # ----------------------------------------------------------------------------
 # Subcommand handlers
 # ----------------------------------------------------------------------------
@@ -316,4 +312,4 @@ def _emit(payload: dict, fmt: str = "json") -> None:
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -48,9 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RealAngles, _check_seed
+from .states import RealAngles, _HALF_PI, _check_seed
 
-_HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 
 # Triples per block of the identity check: the (4096, 3) draw (96 KiB) and the
@@ -181,7 +180,6 @@ def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
     rng = np.random.default_rng(rng_seed)
     starts = iter(range(0, samples, _IDENTITY_BLOCK))
     lock = threading.Lock()
-    failed = threading.Event()
     maxima: list[float] = []
     errors: list[BaseException] = []
 
@@ -190,7 +188,7 @@ def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
         try:
             while True:
                 with lock:
-                    start = None if failed.is_set() else next(starts, None)
+                    start = None if errors else next(starts, None)
                     if start is None:
                         break
                     size = min(_IDENTITY_BLOCK, samples - start)
@@ -199,7 +197,6 @@ def substitution_identity_check(samples: int, rng_seed: int = 0) -> float:
                 obj4 = _objective4(t1 + t2 + t3, t1 + t2 - t3, t1 - t2 + t3, t1 - t2 - t3)
                 deviation = max(deviation, float(np.max(np.abs(obj3 - obj4))))
         except BaseException as exc:  # raised below, in the calling thread
-            failed.set()
             errors.append(exc)
         else:
             maxima.append(deviation)

@@ -35,7 +35,6 @@ converged start would have climbed past the best afterwards (see
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,7 @@ from .states import (
     PureState,
     RealAngles,
     SingleQubitState,
+    _HALF_PI,
     _check_budget,
     _check_same_size,
     _check_seed,
@@ -184,7 +184,7 @@ def pmax_gridsearch(psi: PureState, resolution: int) -> float:
         2 * resolution ** (n - 1), "resolution", f"grid of 2 * {resolution}**{n - 1} values"
     )
     a = _real_amplitudes(psi).reshape((2,) * n)
-    c = _real_factors(np.linspace(-math.pi / 2, math.pi / 2, resolution))
+    c = _real_factors(np.linspace(-_HALF_PI, _HALF_PI, resolution))
     for _ in range(n - 1):
         a = np.tensordot(a, c, axes=([0], [1]))
     # Axis 0 is now the last qubit.  At n = 1, a is still psi's read-only
@@ -219,19 +219,15 @@ def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
     """(n_starts, n, 2) start factors; row 0 is the best basis product state."""
     n = psi.n_qubits
     s = cfg.n_starts
-    real = cfg.restriction == "real_plane"
-    if real:
-        _real_amplitudes(psi)  # refuses a complex state, even with the basis start alone
     factors = np.zeros((s, n, 2), dtype=np.complex128)
     x = int(np.argmax(np.abs(psi.amplitudes) ** 2))
     for i in range(n):
         bit = (x >> (n - 1 - i)) & 1
         factors[0, i, bit] = 1.0
-    if s == 1:
-        return factors
     rng = np.random.default_rng(cfg.rng_seed)
-    if real:
-        factors[1:] = _real_factors(rng.uniform(-math.pi / 2, math.pi / 2, size=(s - 1, n)))
+    if cfg.restriction == "real_plane":
+        _real_amplitudes(psi)  # refuses a complex state, even with the basis start alone
+        factors[1:] = _real_factors(rng.uniform(-_HALF_PI, _HALF_PI, size=(s - 1, n)))
     else:
         z = rng.normal(size=(s - 1, n, 2)) + 1j * rng.normal(size=(s - 1, n, 2))
         factors[1:] = z / np.linalg.norm(z, axis=2, keepdims=True)
@@ -361,9 +357,9 @@ class _Workspace:
       factor k of the working batch is one contiguous (m, 2) block.  The
       conjugates are derived when a batch is bound and kept current by each
       step.
-    * Suffix products for k = 1..n-1, as (S, 2, 2**(n-k-1)) arrays: row s is
-      conj(f_k) x ... x conj(f_{n-1}).  There is none for k = 0, which no
-      step reads; for k = n it is a column of ones.
+    * Suffix products for k = 1..n, in one list of (S, 2**(n-k)) arrays
+      allocated as ones: row s is conj(f_k) x ... x conj(f_{n-1}), so the
+      last, for k = n, stays a column of ones.  There is none for k = 0.
     * Prefixes for k = 0..n-1, as (S, 1, 2**(n-k-1)) arrays: psi contracted
       with factors 0..k.  The last one is the overlap.
     * Step buffers: the (S, 2, 1) environment v, the (S, 2) scratch for
@@ -388,9 +384,8 @@ class _Workspace:
         self._psi = psi
         self._factors = np.ascontiguousarray(factors.swapaxes(0, 1))
         self._conj = np.empty_like(self._factors)
-        self._tails = {k: np.empty((n_starts, 2, 2 ** (n - k - 1)), dtype=c) for k in range(1, n)}
+        self._tails = [np.ones((n_starts, 2 ** (n - k)), dtype=c) for k in range(1, n + 1)]
         self._prefixes = [np.empty((n_starts, 1, 2 ** (n - k - 1)), dtype=c) for k in range(n)]
-        self._ones = np.ones((n_starts, 1), dtype=c)
         self._env = np.empty((n_starts, 2, 1), dtype=c)
         self._scratch = np.empty((n_starts, 2), dtype=c)
         self._norm = np.zeros((n_starts, 1), dtype=c)
@@ -407,8 +402,8 @@ class _Workspace:
     def bind(self, m: int) -> None:
         """Build the views for a working batch of the first m rows.
 
-        ``tail_steps`` lists, for k = n-1 down to 1, the operands and output
-        of suffix product k; ``steps`` lists, for each qubit k, its factor
+        ``tail_steps`` lists, for k = n-1 down to 1, the operands of suffix
+        product k and its (m, 2, R) view as output; ``steps`` lists, for each qubit k, its factor
         and conjugate blocks, the (m, 1, 2) conjugate row, the prefix it is
         contracted out of (psi for k = 0) as (., 2, R) rows, suffix product
         k+1 as an (m, R, 1) column, and the prefix it writes (None for the
@@ -422,13 +417,11 @@ class _Workspace:
         self.factors = factors = self._factors[:, :m]
         conj = self._conj[:, :m]
         np.conjugate(factors, out=conj)
-        tails = {k: t[:m] for k, t in self._tails.items()}
-        flat = {k: t.reshape(m, -1) for k, t in tails.items()}  # (m, 2**(n-k))
-        flat[n] = self._ones[:m]
+        tails = [t[:m] for t in self._tails]  # suffix product k is tails[k - 1]
         prefixes = [p[:m] for p in self._prefixes]
         leads = [p.reshape(p.shape[0], 2, -1) for p in [self._psi] + prefixes[:-1]]
         self.tail_steps = [
-            (conj[k, :, :, np.newaxis], flat[k + 1][:, np.newaxis, :], tails[k])
+            (conj[k, :, :, np.newaxis], tails[k][:, np.newaxis, :], tails[k - 1].reshape(m, 2, -1))
             for k in range(n - 1, 0, -1)
         ]
         self.steps = [
@@ -437,7 +430,7 @@ class _Workspace:
                 conj[k],
                 conj[k, :, np.newaxis, :],
                 leads[k],
-                flat[k + 1][:, :, np.newaxis],
+                tails[k][:, :, np.newaxis],
                 prefixes[k] if k + 1 < n else None,
             )
             for k in range(n)

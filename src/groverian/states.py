@@ -245,6 +245,8 @@ class Family:
     def analytic(self, bound: dict) -> AnalyticResult:
         """The closed form at parameters bound by :func:`family_params`; one
         that does not take ``n`` holds only for n >= 2."""
+        if self.closed_form is None:
+            raise ValueError("family: no closed form for this family")
         if "n" not in self.closed_form_params and bound["n"] < 2:
             raise ValueError(f"family: the closed form needs n >= 2, got n = {bound['n']}")
         return self.closed_form(*(bound[p] for p in self.closed_form_params))
@@ -511,7 +513,10 @@ def state_from_dict(data: dict, normalize: bool = False) -> PureState:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
         ):
             raise ValueError(f"state file: amplitudes[{i}] must be a [re, im] pair")
-        amps[i] = complex(entry[0], entry[1])
+        try:
+            amps[i] = complex(entry[0], entry[1])
+        except OverflowError:  # an int beyond float range, refused below
+            amps[i] = math.inf
     if not np.all(np.isfinite(amps.view(np.float64))):
         raise ValueError("state file: amplitudes must be finite")
     norm_sq = float(np.sum(np.abs(amps) ** 2))

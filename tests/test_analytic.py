@@ -83,6 +83,11 @@ class TestDicke:
         with pytest.raises(ValueError, match="k"):
             pmax_dicke(4, 5)
 
+    def test_needs_one_qubit(self):
+        with pytest.raises(ValueError) as err:
+            pmax_dicke(0, 0)
+        assert str(err.value) == "n: must be >= 1, got 0"
+
     def test_result_invariant(self):
         for n, k in [(3, 1), (5, 2), (6, 3)]:
             r = pmax_dicke(n, k)
@@ -129,3 +134,12 @@ class TestRegistry:
         bound = family_params(name, **self.SAMPLES[name])
         solved = pmax_alternating(entry.build(**bound)).pmax
         assert abs(solved - entry.analytic(bound).pmax) < 1e-9
+
+    @pytest.mark.parametrize(
+        "name, bound",
+        [("basis", {"n": 3, "x": 0}), ("basis", {"n": 1, "x": 0}), ("uniform", {"n": 3})],
+        ids=["basis", "basis-one-qubit", "uniform"],
+    )
+    def test_family_without_a_closed_form_says_so(self, name, bound):
+        with pytest.raises(ValueError, match="^family: no closed form"):
+            FAMILIES[name].analytic(bound)

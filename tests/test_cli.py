@@ -247,6 +247,20 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "pmax", "--file", str(path))
         assert code == 2
 
+    def test_int_beyond_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1, "amplitudes": [[10**400, 0], [0, 0]]}))
+        code, out, err = run_cli(capsys, "pmax", "--file", str(path))
+        assert (code, out, err) == (2, "", "error: state file: amplitudes must be finite\n")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [(":3", "empty family name in ':3'"), ("ghz:3,,", "empty parameter in 'ghz:3,,'")],
+    )
+    def test_empty_family_spec_part_exits_2(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "pmax", "--family", spec)
+        assert (code, out, err) == (2, "", f"error: family: {message}\n")
+
     def test_wrong_length_exits_2(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"n": 2, "amplitudes": [[1.0, 0.0]]}))

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end and write what they promise."""
 
+import ast
 import csv
 import json
 import os
@@ -110,17 +111,45 @@ START_BUDGET_ERROR = (
         # Refused by the first solve, not by SolverConfig.
         ("family_sweep.py", ["--seeds", 2097153], START_BUDGET_ERROR),
         ("trace_search_entanglement.py", ["--seeds", 2097153], START_BUDGET_ERROR),
+        (
+            "trace_search_entanglement.py", ["--iterations-factor", 2],
+            "trace_search_entanglement.py: error: unrecognized arguments: --iterations-factor 2\n",
+        ),
     ],
     ids=[
         "sweep-seeds", "sweep-rng-seed", "trace-seeds", "trace-rng-seed", "refutation-rng-seed",
-        "sweep-start-budget", "trace-start-budget",
+        "sweep-start-budget", "trace-start-budget", "trace-iterations-factor",
     ],
 )
 def test_bad_option_exits_2_before_writing(tmp_path, script, args, stderr):
     out = "--out-dir" if script == "trace_search_entanglement.py" else "--out"
     proc = run_script(script, *args, out, tmp_path / "out", cwd=tmp_path, returncode=2)
-    assert proc.stderr == stderr
+    assert proc.stderr.endswith(stderr)
+    # argparse prints its usage before its error line; the scripts' own errors are one line.
+    usage = proc.stderr[: -len(stderr)]
+    assert usage.startswith("usage: ") if stderr.startswith(script) else usage == ""
     assert list(tmp_path.iterdir()) == []
+
+
+SCRIPT_OPTIONS = {
+    "family_sweep.py": {"--seeds", "--rng-seed", "--out"},
+    "trace_search_entanglement.py": {"--seeds", "--rng-seed", "--out-dir"},
+    "run_refutation.py": {"--resolution", "--eps", "--identity-samples", "--rng-seed", "--out"},
+}
+
+
+def test_script_options_are_pinned():
+    options = {}
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        calls = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        ]
+        options[path.name] = {
+            arg.value for call in calls for arg in call.args
+            if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+        }
+    assert options == SCRIPT_OPTIONS
 
 
 @pytest.mark.parametrize(

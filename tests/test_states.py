@@ -188,6 +188,44 @@ class TestConstruction:
         np.testing.assert_allclose(phi.to_state().amplitudes, uniform(3).amplitudes, atol=1e-15)
 
 
+class TestValidationMessages:
+    # Each raise here is reached by no other test; the message is pinned whole.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: PureState.normalized([0, 0]), "amplitudes: cannot normalize the zero vector"),
+            (lambda: ProductState(()), "factors: need at least one single-qubit factor"),
+            (lambda: RealAngles(()), "thetas: need at least one angle"),
+            (lambda: gghz(3, 1.5), "gghz: a must lie in [0, 1], got 1.5"),
+            (
+                lambda: apply_single_qubit_unitary(ghz(3), 3, np.eye(2)),
+                "k: qubit index 3 outside [0, 3)",
+            ),
+            (
+                lambda: apply_single_qubit_unitary(ghz(3), 0, np.eye(3)),
+                "u: expected a 2x2 matrix, got shape (3, 3)",
+            ),
+            (lambda: state_from_dict([]), "state file: top level must be an object"),
+            (
+                lambda: state_from_dict({"n": 1}),
+                'state file: required keys are "n" and "amplitudes"',
+            ),
+            (
+                lambda: state_from_dict({"n": 1, "amplitudes": [[1e400, 0], [0, 0]]}),
+                "state file: amplitudes must be finite",
+            ),
+        ],
+        ids=[
+            "normalize-zero", "empty-product", "empty-angles", "gghz-weight", "unitary-qubit",
+            "unitary-shape", "file-list", "file-no-amplitudes", "file-inf",
+        ],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 class TestOverlap:
     def test_ghz_with_zero_product_reads_first_amplitude(self):
         phi = product_from_pairs((1, 0), (1, 0), (1, 0))
@@ -420,6 +458,14 @@ class TestStateFile:
     def test_rejects_malformed_entries(self):
         with pytest.raises(ValueError, match="amplitudes"):
             state_from_dict({"n": 1, "amplitudes": [[1.0], [0.0, 0.0]]})
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_rejects_an_int_beyond_float_range_as_not_finite(self, sign):
+        # complex() overflows on it; a JSON float that large already reads as inf.
+        data = {"n": 1, "amplitudes": [[sign * 10**400, 0], [0, 0]]}
+        with pytest.raises(ValueError) as err:
+            state_from_dict(data)
+        assert str(err.value) == "state file: amplitudes must be finite"
 
     def test_normalization_gate(self):
         data = {"n": 1, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]}
