@@ -403,11 +403,12 @@ class _Workspace:
         """Build the views for a working batch of the first m rows.
 
         ``tail_steps`` lists, for k = n-1 down to 1, the operands of suffix
-        product k and its (m, 2, R) view as output; ``steps`` lists, for each qubit k, its factor
-        and conjugate blocks, the (m, 1, 2) conjugate row, the prefix it is
-        contracted out of (psi for k = 0) as (., 2, R) rows, suffix product
-        k+1 as an (m, R, 1) column, and the prefix it writes (None for the
-        last qubit, whose prefix is the overlap, read off its environment).
+        product k and the (m, 2, R) view it is written into; ``steps`` lists,
+        for each qubit k, its factor and conjugate blocks, the (m, 1, 2)
+        conjugate row, the prefix it is contracted out of (psi for k = 0) as
+        (., 2, R) rows, suffix product k+1 as an (m, R, 1) column, and the
+        prefix it writes (None for the last qubit, whose prefix is the
+        overlap, read off its environment).
         ``buffers`` holds the step buffers and their views: the environment
         and its (m, 2) rows, the scratch and the real parts of its two
         columns, the norm column and its real part, the 0-d degeneracy
