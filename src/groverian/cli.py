@@ -98,9 +98,6 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     solver = _solver_config(args)  # checked even without --verify
     name, params = _parse_family_spec(args.family)
     entry = FAMILIES[name]
-    if entry.closed_form is None:
-        known = ", ".join(sorted(k for k, f in FAMILIES.items() if f.closed_form))
-        raise ValueError(f"family: no closed form for {name!r} (known: {known})")
     if "n" not in entry.closed_form_params:
         params.setdefault("n", 3)  # the closed form is the same at every n >= 2
     bound = family_params(name, **params)

@@ -59,6 +59,7 @@ DEGENERATE_ENV_NORM = 1e-14  # below this the previous factor is kept
 _MONOTONE_SLACK = 1e-12
 _REAL_INPUT_TOL = 1e-12
 _RETIRE_MARGIN = 1e-9  # floor of the retirement margin max(1e-9, 1000 * tol)
+_EXTRAPOLATE_FROM = 10
 
 
 class MonotonicityError(RuntimeError):
@@ -304,6 +305,9 @@ def _batched_ascent(
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
+        extrapolate = sweep >= _EXTRAPOLATE_FROM
+        if extrapolate:
+            np.copyto(ws.previous, ws.factors)
         # Factors k+1.. are not yet updated when qubit k is, so the suffix
         # products of the previous sweep's factors serve the whole sweep.
         for conj_k, tail_after, tail_k in ws.tail_steps:
@@ -328,6 +332,24 @@ def _batched_ascent(
         newly = (np.abs(new_sq - sq) < tol) & (conv_at < 0)
         conv_at[newly] = sweep
         pending -= np.count_nonzero(newly)
+        if extrapolate:
+            f, prev, conj = ws.factors, ws.previous, ws.conjugates
+            trial, trial_conj, left, right, norm, norm_re = ws.trial_buffers
+            # g = f + alpha (f - f_prev).  f and f_prev are unit vectors, so
+            # |g| >= (1 + alpha) - alpha = 1 and no trial factor degenerates.
+            np.subtract(f, prev, trial)
+            np.multiply(trial, sweep ** (1 / 3), trial)
+            np.add(f, trial, trial)
+            _row_norms(trial, trial_conj, left, right, norm_re)
+            np.divide(trial, norm, trial)
+            np.conjugate(trial, trial_conj)
+            for conj_row, lead, prefix in ws.trial_steps:
+                np.matmul(conj_row, lead, prefix)
+            trial_sq = np.abs(ws.overlap[:, 0, 0]) ** 2
+            better = trial_sq > new_sq
+            np.copyto(f, trial, where=better[:, np.newaxis])
+            np.copyto(conj, trial_conj, where=better[:, np.newaxis])
+            np.copyto(new_sq, trial_sq, where=better)
         sq = new_sq
         if on_sweep is not None:
             on_sweep(sq)
@@ -384,6 +406,10 @@ class _Workspace:
         self._psi = psi
         self._factors = np.ascontiguousarray(factors.swapaxes(0, 1))
         self._conj = np.empty_like(self._factors)
+        self._previous = np.empty_like(self._factors)
+        self._trial = np.empty_like(self._factors)
+        self._trial_conj = np.empty_like(self._factors)
+        self._trial_norm = np.zeros((n, n_starts, 1), dtype=c)
         self._tails = [np.ones((n_starts, 2 ** (n - k)), dtype=c) for k in range(1, n + 1)]
         self._prefixes = [np.empty((n_starts, 1, 2 ** (n - k - 1)), dtype=c) for k in range(n)]
         self._env = np.empty((n_starts, 2, 1), dtype=c)
@@ -416,8 +442,9 @@ class _Workspace:
         """
         n = self._factors.shape[0]
         self.factors = factors = self._factors[:, :m]
-        conj = self._conj[:, :m]
+        self.conjugates = conj = self._conj[:, :m]
         np.conjugate(factors, out=conj)
+        self.previous = self._previous[:, :m]
         tails = [t[:m] for t in self._tails]  # suffix product k is tails[k - 1]
         prefixes = [p[:m] for p in self._prefixes]
         leads = [p.reshape(p.shape[0], 2, -1) for p in [self._psi] + prefixes[:-1]]
@@ -437,6 +464,12 @@ class _Workspace:
             for k in range(n)
         ]
         self.overlap = prefixes[-1]
+        trial, trial_conj, trial_norm = (b[:, :m] for b in (self._trial, self._trial_conj, self._trial_norm))
+        self.trial_steps = [(trial_conj[k, :, np.newaxis, :], leads[k], prefixes[k]) for k in range(n)]
+        self.trial_buffers = (
+            trial, trial_conj, trial_conj.real[..., 0], trial_conj.real[..., 1],
+            trial_norm, trial_norm.real[..., 0],
+        )
         env, scratch, norm, ok = self._env[:m], self._scratch[:m], self._norm[:m], self._ok[:m]
         self.buffers = (
             env, env[:, :, 0],

@@ -232,11 +232,13 @@ def _gghz_a2(n: int, a2: float) -> PureState:
 
 @dataclass(frozen=True)
 class Family:
-    """A named state family: its spec parameters in positional order (types
-    in ``_PARAM_TYPES``), a builder taking them by keyword, and the closed-form
-    P_max with the parameters it takes, in order (None where there is none).
-    A closed form that does not take ``n`` is the same at every n >= 2."""
+    """A state family: its name, its spec parameters in positional order
+    (types in ``_PARAM_TYPES``), a builder taking them by keyword, and the
+    closed-form P_max with the parameters it takes, in order (None where there
+    is none).  A closed form that does not take ``n`` is the same at every
+    n >= 2."""
 
+    name: str
     params: tuple[str, ...]
     build: Callable[..., PureState]
     closed_form: Callable[..., AnalyticResult] | None = None
@@ -246,7 +248,8 @@ class Family:
         """The closed form at parameters bound by :func:`family_params`; one
         that does not take ``n`` holds only for n >= 2."""
         if self.closed_form is None:
-            raise ValueError("family: no closed form for this family")
+            known = ", ".join(sorted(k for k, f in FAMILIES.items() if f.closed_form))
+            raise ValueError(f"family: no closed form for {self.name!r} (known: {known})")
         if "n" not in self.closed_form_params and bound["n"] < 2:
             raise ValueError(f"family: the closed form needs n >= 2, got n = {bound['n']}")
         return self.closed_form(*(bound[p] for p in self.closed_form_params))
@@ -257,12 +260,15 @@ _PARAM_TYPES = {"n": int, "a2": float, "k": int, "x": int}
 # The one table of named families.  Each closed form is tied here to exactly
 # the state it describes (Wei & Goldbart, PRA 68, 042307, 2003).
 FAMILIES = {
-    "ghz": Family(("n",), ghz, lambda: pmax_gghz(0.5)),
-    "gghz": Family(("n", "a2"), _gghz_a2, pmax_gghz, ("a2",)),
-    "w": Family(("n",), w, pmax_w, ("n",)),
-    "dicke": Family(("n", "k"), dicke, pmax_dicke, ("n", "k")),
-    "basis": Family(("n", "x"), basis_state),
-    "uniform": Family(("n",), uniform),
+    f.name: f
+    for f in (
+        Family("ghz", ("n",), ghz, lambda: pmax_gghz(0.5)),
+        Family("gghz", ("n", "a2"), _gghz_a2, pmax_gghz, ("a2",)),
+        Family("w", ("n",), w, pmax_w, ("n",)),
+        Family("dicke", ("n", "k"), dicke, pmax_dicke, ("n", "k")),
+        Family("basis", ("n", "x"), basis_state),
+        Family("uniform", ("n",), uniform),
+    )
 }
 
 

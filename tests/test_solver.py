@@ -133,9 +133,9 @@ class TestReferenceStates:
     # with the sizes interleaved 8, 9, 10, as the benchmark's haar-large
     # reference sample draws them.  Expected (best_start, sweeps_used, pmax).
     GOLDEN = {
-        8: (3, 96, 0.08804103949588919),
-        9: (0, 121, 0.05243525961819398),
-        10: (7, 114, 0.02796859893180469),
+        8: (3, 41, 0.08804103949588919),
+        9: (0, 62, 0.05243525961819398),
+        10: (7, 49, 0.02796859893180469),
     }
 
     def test_golden_results(self):
@@ -145,6 +145,25 @@ class TestReferenceStates:
             best_start, sweeps_used, pmax = self.GOLDEN[n]
             assert (r.best_start, r.sweeps_used, r.converged) == (best_start, sweeps_used, True)
             assert abs(r.pmax - pmax) <= 1e-13
+
+    # Ten states outside the benchmark's sample, random_state(n, default_rng(11))
+    # for n = 5..10, 5..8, and the best start of each before extrapolated
+    # sweeps were added.
+    OTHER_BEST_STARTS = [0, 0, 0, 0, 1, 3, 0, 1, 0, 0]
+
+    def test_extrapolation_keeps_the_best_start_near_its_limit(self):
+        # The result policy: the best start does not change, and its pmax is
+        # within tol of the value that start reaches at tol = 1e-17.
+        rng = np.random.default_rng(11)
+        others = [random_state(n, rng) for n in (5, 6, 7, 8, 9, 10, 5, 6, 7, 8)]
+        golden = [self.GOLDEN[n][0] for n in (8, 9, 10)]
+        cfg = SolverConfig()
+        for psi, best in zip(list(_golden_states().values()) + others, golden + self.OTHER_BEST_STARTS):
+            r = pmax_alternating(psi, cfg)
+            assert r.best_start == best
+            start = solver._start_factors(psi, cfg)[best:best + 1].copy()
+            limit = solver._batched_ascent(psi.amplitudes, start, 10**4, 1e-17)[0][0]
+            assert abs(limit - r.pmax) <= cfg.tol
 
     def test_tie_goes_to_the_lowest_start_within_tol(self):
         # GHZ3: the basis start (index 0) ends at 0.4999999999999999 and start
@@ -161,7 +180,9 @@ def _golden_states():
 
 def _reference_ascent(amplitudes, factors, max_sweeps, tol):
     """The batched ascent without start retirement: every start is swept
-    until the slowest one converges."""
+    until the slowest one converges.  From sweep _EXTRAPOLATE_FROM on, each
+    sweep ends with the extrapolation step, evaluated by the kernel's
+    batch_overlap."""
     n_starts, n = factors.shape[0], factors.shape[1]
     psi = amplitudes[np.newaxis]
     sq = np.abs(batch_overlap(psi, factors)) ** 2
@@ -169,6 +190,7 @@ def _reference_ascent(amplitudes, factors, max_sweeps, tol):
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
+        previous = factors.copy()
         tails = tail_products(factors)
         prefix = psi
         for k in range(n):
@@ -186,6 +208,13 @@ def _reference_ascent(amplitudes, factors, max_sweeps, tol):
             )
         newly = (np.abs(new_sq - sq) < tol) & (conv_at < 0)
         conv_at[newly] = sweep
+        if sweep >= solver._EXTRAPOLATE_FROM:
+            trial = factors + sweep ** (1 / 3) * (factors - previous)
+            trial = trial / np.linalg.norm(trial, axis=2, keepdims=True)
+            trial_sq = np.abs(batch_overlap(psi, trial)) ** 2
+            better = trial_sq > new_sq
+            factors[better] = trial[better]
+            new_sq[better] = trial_sq[better]
         sq = new_sq
         if np.all(conv_at >= 0):
             break
@@ -257,20 +286,28 @@ class TestStartRetirement:
             assert np.max(ref_sq - sq) > 1e-3
 
     def test_retired_starts_leave_the_batch(self, monkeypatch):
-        rows = []
+        shapes = []
         real_norms = solver._row_norms
 
         def counting_norms(v, *buffers):
-            rows.append(v.shape[0])
+            shapes.append(v.shape)
             return real_norms(v, *buffers)
 
         monkeypatch.setattr(solver, "_row_norms", counting_norms)
         r = pmax_alternating(_golden_states()[8])
-        # One environment's norms per qubit per sweep, so the count is not
-        # vacuous.  The plain loop sends 32 rows per qubit per sweep;
-        # retirement cut that to 72 % on this state (2218 of 3072 row-sweeps).
+        # Each sweep takes one environment's norms per qubit, (m, 2) for m
+        # working rows, and from _EXTRAPOLATE_FROM on the norms of every
+        # trial factor, (8, m, 2), so the counts are not vacuous.
+        rows = [shape[0] for shape in shapes if len(shape) == 2]
+        trials = [shape for shape in shapes if len(shape) == 3]
         assert len(rows) == 8 * r.sweeps_used
         assert rows[0] == 32
+        first = solver._EXTRAPOLATE_FROM
+        assert trials == [(8, rows[8 * (s - 1)], 2) for s in range(first, r.sweeps_used + 1)]
+        # The plain loop sends 32 rows per qubit per sweep; retirement cut
+        # that to 79 % on this state (1043 of 1312 row-sweeps).  Without
+        # extrapolation the solve ran 2218 row-sweeps.
+        assert sum(rows) == 8 * 1043
         assert sum(rows) < 0.8 * 32 * 8 * r.sweeps_used
 
     @given(
@@ -308,6 +345,22 @@ class TestStartRetirement:
             assert np.array_equal(one[1], factors[i:i + 1])
             assert np.array_equal(one[2], conv_at[i:i + 1])
 
+    def test_extrapolating_rows_do_not_depend_on_the_batch(self):
+        # Past _EXTRAPOLATE_FROM the step's alpha depends on the sweep index
+        # alone.  At tol = 0 no row converges or retires, so the batch and
+        # each one-row run sweep the same number of times.
+        rng = np.random.default_rng(8)
+        for n in (3, 6):
+            psi = random_state(n, rng)
+            starts = solver._start_factors(psi, SolverConfig(n_starts=5, rng_seed=n))
+            sweeps = solver._EXTRAPOLATE_FROM + 8
+            sq, factors, conv_at, _ = solver._batched_ascent(psi.amplitudes, starts.copy(), sweeps, 0.0)
+            assert (conv_at == -1).all()
+            for i in range(len(starts)):
+                one = solver._batched_ascent(psi.amplitudes, starts[i:i + 1].copy(), sweeps, 0.0)
+                assert one[0].tobytes() == sq[i:i + 1].tobytes()
+                assert one[1].tobytes() == factors[i:i + 1].tobytes()
+
 
 class TestSweepWorkspace:
     def test_row_norms_equal_the_library_norm(self):
@@ -342,8 +395,11 @@ class TestSweepWorkspace:
         # sweep allocates only its (m,) squared overlaps and convergence
         # masks and numpy's buffers for the suffix-product multiply
         # (257 KiB).  Allocating the suffix products per sweep cost 32 MiB.
+        # The sweeps run past _EXTRAPOLATE_FROM, whose step evaluates its
+        # trial factors in the workspace's prefix buffers.
         psi = random_state(16, np.random.default_rng(16))
         factors = solver._start_factors(psi, SolverConfig())
+        sweeps = solver._EXTRAPOLATE_FROM + 2
         transients = []
         base = [0]
 
@@ -354,18 +410,19 @@ class TestSweepWorkspace:
 
         tracemalloc.start()
         try:
-            solver._batched_ascent(psi.amplitudes, factors, 4, 1e-12, on_sweep=measure)
+            solver._batched_ascent(psi.amplitudes, factors, sweeps, 1e-12, on_sweep=measure)
         finally:
             tracemalloc.stop()
-        assert len(transients) == 4
+        assert len(transients) == sweeps
         assert max(transients[1:]) < 2**20  # the first one includes the workspace
 
     def test_solve_peak_is_the_workspace(self):
-        # About 2 * n_starts * 2**n complex elements: 64 MiB here.
+        # About 2 * n_starts * 2**n complex elements: 64 MiB here, with
+        # extrapolating sweeps.
         psi = random_state(16, np.random.default_rng(16))
         tracemalloc.start()
         try:
-            pmax_alternating(psi, SolverConfig(max_sweeps=2))
+            pmax_alternating(psi, SolverConfig(max_sweeps=solver._EXTRAPOLATE_FROM + 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -404,6 +461,20 @@ class TestMonotoneAscent:
             tuple(SingleQubitState(*(random_state(1, rng).amplitudes)) for _ in range(3))
         )
         history = ascent_history(psi, start)
+        assert np.all(np.diff(history) >= -1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8))
+    @settings(max_examples=10, deadline=None)
+    def test_extrapolated_history_is_nondecreasing(self, seed, n):
+        # tol = 0 never converges, so every sweep from _EXTRAPOLATE_FROM on
+        # runs the extrapolation step.
+        rng = np.random.default_rng(seed)
+        psi = random_state(n, rng)
+        start = ProductState(
+            tuple(SingleQubitState(*(random_state(1, rng).amplitudes)) for _ in range(n))
+        )
+        history = ascent_history(psi, start, max_sweeps=solver._EXTRAPOLATE_FROM + 20, tol=0.0)
+        assert len(history) == solver._EXTRAPOLATE_FROM + 21
         assert np.all(np.diff(history) >= -1e-12)
 
     def test_degenerate_environment_keeps_previous_factor(self):
