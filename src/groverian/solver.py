@@ -24,6 +24,16 @@ nine numpy calls that write into views of it bound once per working batch,
 so no step allocates; the budget check counts n_starts * 2**n against a
 fixed element budget before any start is allocated.
 
+The plain sweep converges linearly, and about half of a start's sweeps used
+to be that tail.  So from sweep ``_EXTRAPOLATE_FROM`` on, each sweep ends
+with one extrapolation step, after the line-search and extrapolation schemes
+for alternating least squares (Rajih, Comon & Harshman, SIAM J. Matrix Anal.
+Appl. 30, 1128, 2008): every start tries f + alpha * (f - f_prev), with
+f_prev its factors at the start of the sweep and alpha = sweep**(1/3), each
+factor renormalized, and keeps it only where its squared overlap rises.  The
+trial costs one prefix contraction, written into the workspace.  On Haar
+states at n = 8-10 it cut the sweeps to convergence about 2.3-fold.
+
 A batch runs until its slowest start converges, so a start that converged
 early to a local maximum far below the best would keep costing sweeps.  Such
 a start is retired: once it has converged and sits more than
@@ -59,7 +69,17 @@ DEGENERATE_ENV_NORM = 1e-14  # below this the previous factor is kept
 _MONOTONE_SLACK = 1e-12
 _REAL_INPUT_TOL = 1e-12
 _RETIRE_MARGIN = 1e-9  # floor of the retirement margin max(1e-9, 1000 * tol)
-_EXTRAPOLATE_FROM = 10
+# First sweep that ends with an extrapolation step.  A trial costs a prefix
+# contraction and about fifteen small calls, 30-40 % of a sweep at n = 8,
+# and pays only in a linear tail.  Picked on states outside the benchmark's
+# sample, timing solves interleaved, best of 5:
+# * 24 Haar states at n = 8-10 (default_rng(2718)): starting at sweep 10,
+#   16, 20 or 24 made the summed solve time 1.65, 1.62, 1.59 or 1.58 times
+#   shorter than no extrapolation;
+# * Grover rows at n = 6, 7 and 9, W(9), W(10) and Dicke(7, k) mostly
+#   converge in 10-20 sweeps, and there the step saved no sweep, so starting
+#   at 10 made those solves 5-20 % slower and starting at 20 left them level.
+_EXTRAPOLATE_FROM = 20
 
 
 class MonotonicityError(RuntimeError):
@@ -71,8 +91,8 @@ class MonotonicityError(RuntimeError):
 class SolverConfig:
     """Knobs of the multi-start alternating maximizer.
 
-    ``tol`` is the absolute change in squared overlap per full sweep below
-    which a start counts as converged.  ``restriction`` picks the start
+    ``tol`` is the absolute change in squared overlap per full sweep, before
+    the sweep's extrapolation step, below which a start counts as converged.  ``restriction`` picks the start
     distribution: Haar-random factors (``full_bloch``) or real-plane angles
     uniform on [-pi/2, pi/2] (``real_plane``, real-amplitude states only).
     """
@@ -101,9 +121,15 @@ class SolverConfig:
 class PmaxResult:
     """Best squared overlap over all starts, with the optimizing product state.
 
-    ``sweeps_used`` is the number of sweeps until every start converged (or
-    ``max_sweeps``); starts retired early, far below the best, executed fewer.
-    ``converged`` refers to the best start.  The best start is the lowest
+    A start converges at the first sweep whose plain step, the update of
+    every factor before that sweep's extrapolation step, raised its squared
+    overlap by less than ``tol``.  ``sweeps_used`` is the number of sweeps
+    until every start converged (or ``max_sweeps``), an extrapolating sweep
+    counting as one; starts retired early, far below the best, executed
+    fewer.  ``converged`` says whether the best start converged; its
+    ``pmax`` is then within ``tol`` of that start's limit on every state
+    measured, which is the result policy of ``_batched_ascent``, not a
+    bound.  The best start is the lowest
     start index whose squared overlap is within ``tol`` of the largest, and
     ``pmax`` is that start's value, so rounding-level differences between
     starts that reached the same maximum never decide the winner.
@@ -246,7 +272,8 @@ def _batched_ascent(
 
     Returns (squared overlaps, factors, sweep index of convergence per start
     (-1 if never), sweeps executed); the factors are written back into
-    ``factors``.  Updates are the exact per-factor optima, so the squared
+    ``factors``.  Updates are the exact per-factor optima, and an
+    extrapolation trial is kept only where it is higher, so the squared
     overlap of every start is nondecreasing sweep to sweep; a degenerate
     environment (norm below ``DEGENERATE_ENV_NORM``) keeps the previous
     factor, preserving monotonicity at saddle configurations.
@@ -259,33 +286,62 @@ def _batched_ascent(
     :mod:`groverian.states` (the tests pin it bit for bit to a loop written
     on that kernel).
 
+    Extrapolation.  From sweep ``_EXTRAPOLATE_FROM`` on, the plain sweep, its
+    monotone check and the convergence test are followed by one
+    extrapolation step.  Each working row forms g = f + alpha (f - f_prev),
+    with f_prev its factors at the start of the sweep and
+    alpha = sweep**(1/3), renormalizes each factor of g, and evaluates g by
+    one prefix-matmul chain written into the workspace's prefix buffers.  A
+    row takes g, and its squared overlap, only where that is strictly above
+    the plain step's value.  Convergence is decided on the plain step's gain
+    alone, before the step, so ``tol`` keeps its meaning: a row converges
+    when one plain sweep raises it by less than ``tol``.
+
+    Result policy.  The step changes results at rounding level, so results
+    are not bit-equal to the loop without it.  What holds instead, on the
+    goldens, the benchmark's 15 reference states and 10 other Haar states:
+    the best start is the same start; its ``pmax`` is within ``tol`` of the
+    value that start reaches at tol = 1e-17; and each pinned value that moved
+    is recorded in the change log with its old and new value.  It is not
+    true that ``pmax`` is always as close to that limit as without the step.
+    On 14 of the 15 reference states it is within 2e-16; the second n = 9
+    state stops 2.2e-13 below it, where the plain loop was within 3e-17 only
+    because it swept the best start on while the slowest start converged.
+    The golden ``pmax`` tolerance (1e-13) is unchanged.
+
     Retirement.  After each sweep, a start that has converged and whose
     squared overlap is more than ``margin = max(_RETIRE_MARGIN, 1000 * tol)``
     below the best of the working batch retires: its value, convergence sweep
     and factors are frozen and it leaves the batch, which is compacted only
     when a start retires.  The loop still stops when every start has
     converged or at ``max_sweeps``, so the sweeps executed and the convergence
-    sweeps are those of the plain loop that sweeps every start to the end.
+    sweeps are those of the non-retiring loop, which sweeps every start to
+    the end.
 
     Why this is exact.  A row's arithmetic does not depend on the batch it is
-    in, so every start that is never retired ends bit-identical to the plain
-    loop.  The best of the working batch never falls by more than the
-    monotone slack (1e-12), so a start retired more than ``margin`` below it
+    in, so every start that is never retired ends bit-identical to the
+    non-retiring loop.  That holds with the extrapolation step too: its alpha depends only
+    on the solve's sweep index, and each row keeps or drops its own trial.
+    The plain step is monotone and the step never lowers a row, so the best
+    of the working batch never falls by more than the monotone slack
+    (1e-12), so a start retired more than ``margin`` below it
     ends more than ``margin`` less that slack below the final best, which is
     more than ``tol``: the tie rule (the lowest start within ``tol`` of the
     best) never picks a retired start.  The result could
     differ only if a retired start, swept on, would have climbed past the
-    best after converging.  Measured at the default tol on 30 Haar states
-    (n = 5..12, 32 starts each): a start climbed at most 1.5e-11 after
-    converging, and the 623 starts that would retire at their convergence
-    sweep sat at least 6e-5 below the best.  At loose tol this is empirical,
-    not proven: at tol = 1e-6 a converged start later climbed 8.4e-3 on the
-    same states, more than the 1e-3 margin, though no result changed on any
-    state tried at tol up to 1e-4.  The margin scales with ``tol`` because a
+    best after converging.  Measured with the extrapolation step at the
+    default tol on 30 Haar states (n = 5..12, 32 starts each,
+    default_rng(2024)): a start climbed at most 1.0e-11 after converging, and
+    the 625 starts that would retire at their convergence sweep sat at least
+    6e-5 below the best.  At loose tol this is empirical, not proven: at
+    tol = 1e-6 a converged start later climbed 1.2e-2 on the same states,
+    more than the 1e-3 margin, though no result changed there (nor, without
+    the step, on any state tried at tol up to 1e-4).  The margin scales with ``tol`` because a
     fixed 1e-9 froze starts within ``tol`` of the best and changed the result
     at tol = 1e-8.
 
-    ``on_sweep`` receives the working batch's squared overlaps; a single
+    ``on_sweep`` receives the working batch's squared overlaps after the
+    sweep's extrapolation step; a single
     start is always the best, never retires, and so is always reported.
     """
     n_starts = factors.shape[0]
@@ -389,6 +445,13 @@ class _Workspace:
       part, and the (S,) degeneracy mask.  numpy divides a complex array by
       a float one after casting the float to r + 0j, so dividing by the
       complex column gives the same bits and casts nothing.
+    * Extrapolation buffers, qubit-major as (n, S, 2) like the factors: the
+      factors at the start of the sweep, the trial factors and their
+      conjugates (first the scratch of the trial's norms), and the (n, S, 1)
+      complex trial norm column.  Each extrapolating sweep writes them before
+      it reads them, so :meth:`compact` leaves them where they are.  The
+      trial is evaluated in the prefix buffers, whose last one is then the
+      trial's overlap.
 
     That is about 2 * S * 2**n complex elements.  The step for qubit k is
     nine calls, each writing into a buffer above: the environment matmul
@@ -406,10 +469,8 @@ class _Workspace:
         self._psi = psi
         self._factors = np.ascontiguousarray(factors.swapaxes(0, 1))
         self._conj = np.empty_like(self._factors)
-        self._previous = np.empty_like(self._factors)
-        self._trial = np.empty_like(self._factors)
-        self._trial_conj = np.empty_like(self._factors)
-        self._trial_norm = np.zeros((n, n_starts, 1), dtype=c)
+        self._previous, self._trial, self._trial_conj = (np.empty(n * n_starts * 2, dtype=c) for _ in range(3))
+        self._trial_norm = np.zeros(n * n_starts, dtype=c)
         self._tails = [np.ones((n_starts, 2 ** (n - k)), dtype=c) for k in range(1, n + 1)]
         self._prefixes = [np.empty((n_starts, 1, 2 ** (n - k - 1)), dtype=c) for k in range(n)]
         self._env = np.empty((n_starts, 2, 1), dtype=c)
@@ -439,12 +500,25 @@ class _Workspace:
         and its (m, 2) rows, the scratch and the real parts of its two
         columns, the norm column and its real part, the 0-d degeneracy
         threshold, and the mask as (m,) and as an (m, 1) column.
+        ``factors`` and ``conjugates`` are the working factors and their
+        conjugates as (n, m, 2), and ``previous`` the view the factors are
+        copied into at the start of an extrapolating sweep; ``trial_buffers`` holds the trial
+        factors, their conjugates and the real parts of the conjugates' two
+        columns (the scratch of the trial's norms), and the trial norm column
+        and its real part; ``trial_steps`` lists, for each qubit k, the
+        trial's (m, 1, 2) conjugate row, the prefix it is contracted out of
+        and the prefix it writes.
         """
         n = self._factors.shape[0]
         self.factors = factors = self._factors[:, :m]
         self.conjugates = conj = self._conj[:, :m]
         np.conjugate(factors, out=conj)
-        self.previous = self._previous[:, :m]
+        # The extrapolation buffers are read only in the sweep that writes
+        # them, so each is bound as its first n * m rows, contiguous.
+        self.previous, trial, trial_conj = (
+            b[: n * m * 2].reshape(n, m, 2) for b in (self._previous, self._trial, self._trial_conj)
+        )
+        trial_norm = self._trial_norm[: n * m].reshape(n, m, 1)
         tails = [t[:m] for t in self._tails]  # suffix product k is tails[k - 1]
         prefixes = [p[:m] for p in self._prefixes]
         leads = [p.reshape(p.shape[0], 2, -1) for p in [self._psi] + prefixes[:-1]]
@@ -464,7 +538,6 @@ class _Workspace:
             for k in range(n)
         ]
         self.overlap = prefixes[-1]
-        trial, trial_conj, trial_norm = (b[:, :m] for b in (self._trial, self._trial_conj, self._trial_norm))
         self.trial_steps = [(trial_conj[k, :, np.newaxis, :], leads[k], prefixes[k]) for k in range(n)]
         self.trial_buffers = (
             trial, trial_conj, trial_conj.real[..., 0], trial_conj.real[..., 1],
