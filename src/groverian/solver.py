@@ -361,6 +361,8 @@ def _batched_ascent(
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
+        if sweep == _EXTRAPOLATE_FROM:
+            ws.start_extrapolating()
         extrapolate = sweep >= _EXTRAPOLATE_FROM
         if extrapolate:
             np.copyto(ws.previous, ws.factors)
@@ -445,11 +447,13 @@ class _Workspace:
       part, and the (S,) degeneracy mask.  numpy divides a complex array by
       a float one after casting the float to r + 0j, so dividing by the
       complex column gives the same bits and casts nothing.
-    * Extrapolation buffers, qubit-major as (n, S, 2) like the factors: the
-      factors at the start of the sweep, the trial factors and their
-      conjugates (first the scratch of the trial's norms), and the (n, S, 1)
-      complex trial norm column.  Each extrapolating sweep writes them before
-      it reads them, so :meth:`compact` leaves them where they are.  The
+    * Extrapolation buffers, allocated by :meth:`start_extrapolating`, so
+      that a solve that never reaches the step neither allocates nor binds
+      them: room for (n, S, 2) factors at the start of the sweep, trial
+      factors and their conjugates (first the scratch of the trial's norms),
+      and an (n, S, 1) complex trial norm column.  Each extrapolating sweep
+      writes them before it reads them, so :meth:`compact` leaves them where
+      they are, and each is bound as its first n * m rows, contiguous.  The
       trial is evaluated in the prefix buffers, whose last one is then the
       trial's overlap.
 
@@ -469,8 +473,6 @@ class _Workspace:
         self._psi = psi
         self._factors = np.ascontiguousarray(factors.swapaxes(0, 1))
         self._conj = np.empty_like(self._factors)
-        self._previous, self._trial, self._trial_conj = (np.empty(n * n_starts * 2, dtype=c) for _ in range(3))
-        self._trial_norm = np.zeros(n * n_starts, dtype=c)
         self._tails = [np.ones((n_starts, 2 ** (n - k)), dtype=c) for k in range(1, n + 1)]
         self._prefixes = [np.empty((n_starts, 1, 2 ** (n - k - 1)), dtype=c) for k in range(n)]
         self._env = np.empty((n_starts, 2, 1), dtype=c)
@@ -478,7 +480,15 @@ class _Workspace:
         self._norm = np.zeros((n_starts, 1), dtype=c)
         self._ok = np.empty(n_starts, dtype=bool)
         self._floor = np.array(DEGENERATE_ENV_NORM)  # np.greater converts no Python float
+        self._trials = None  # the extrapolation buffers, once the step starts
         self.bind(n_starts)
+
+    def start_extrapolating(self) -> None:
+        """Allocate the extrapolation buffers and bind them from now on."""
+        size = self._factors.size // 2
+        c = np.complex128
+        self._trials = [np.empty(2 * size, dtype=c) for _ in range(3)] + [np.zeros(size, dtype=c)]
+        self.bind(self.factors.shape[1])
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep the working rows flagged in ``keep``, in order, and bind them."""
@@ -501,24 +511,19 @@ class _Workspace:
         columns, the norm column and its real part, the 0-d degeneracy
         threshold, and the mask as (m,) and as an (m, 1) column.
         ``factors`` and ``conjugates`` are the working factors and their
-        conjugates as (n, m, 2), and ``previous`` the view the factors are
-        copied into at the start of an extrapolating sweep; ``trial_buffers`` holds the trial
-        factors, their conjugates and the real parts of the conjugates' two
-        columns (the scratch of the trial's norms), and the trial norm column
-        and its real part; ``trial_steps`` lists, for each qubit k, the
-        trial's (m, 1, 2) conjugate row, the prefix it is contracted out of
-        and the prefix it writes.
+        conjugates as (n, m, 2).  Once the step has started, ``previous`` is
+        the (n, m, 2) view the factors are copied into at the start of an
+        extrapolating sweep; ``trial_buffers`` holds the trial factors, their
+        conjugates and the real parts of the conjugates' two columns (the
+        scratch of the trial's norms), and the trial norm column and its real
+        part; ``trial_steps`` lists, for each qubit k, the trial's (m, 1, 2)
+        conjugate row, the prefix it is contracted out of and the prefix it
+        writes.
         """
         n = self._factors.shape[0]
         self.factors = factors = self._factors[:, :m]
         self.conjugates = conj = self._conj[:, :m]
         np.conjugate(factors, out=conj)
-        # The extrapolation buffers are read only in the sweep that writes
-        # them, so each is bound as its first n * m rows, contiguous.
-        self.previous, trial, trial_conj = (
-            b[: n * m * 2].reshape(n, m, 2) for b in (self._previous, self._trial, self._trial_conj)
-        )
-        trial_norm = self._trial_norm[: n * m].reshape(n, m, 1)
         tails = [t[:m] for t in self._tails]  # suffix product k is tails[k - 1]
         prefixes = [p[:m] for p in self._prefixes]
         leads = [p.reshape(p.shape[0], 2, -1) for p in [self._psi] + prefixes[:-1]]
@@ -538,11 +543,19 @@ class _Workspace:
             for k in range(n)
         ]
         self.overlap = prefixes[-1]
-        self.trial_steps = [(trial_conj[k, :, np.newaxis, :], leads[k], prefixes[k]) for k in range(n)]
-        self.trial_buffers = (
-            trial, trial_conj, trial_conj.real[..., 0], trial_conj.real[..., 1],
-            trial_norm, trial_norm.real[..., 0],
-        )
+        if self._trials is not None:
+            previous, trial, trial_conj, norm = self._trials
+            self.previous, trial, trial_conj = (
+                b[: n * m * 2].reshape(n, m, 2) for b in (previous, trial, trial_conj)
+            )
+            norm = norm[: n * m].reshape(n, m, 1)
+            self.trial_steps = [
+                (trial_conj[k, :, np.newaxis, :], leads[k], prefixes[k]) for k in range(n)
+            ]
+            self.trial_buffers = (
+                trial, trial_conj, trial_conj.real[..., 0], trial_conj.real[..., 1],
+                norm, norm.real[..., 0],
+            )
         env, scratch, norm, ok = self._env[:m], self._scratch[:m], self._norm[:m], self._ok[:m]
         self.buffers = (
             env, env[:, :, 0],
