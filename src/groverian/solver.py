@@ -92,9 +92,10 @@ class SolverConfig:
     """Knobs of the multi-start alternating maximizer.
 
     ``tol`` is the absolute change in squared overlap per full sweep, before
-    the sweep's extrapolation step, below which a start counts as converged.  ``restriction`` picks the start
-    distribution: Haar-random factors (``full_bloch``) or real-plane angles
-    uniform on [-pi/2, pi/2] (``real_plane``, real-amplitude states only).
+    the sweep's extrapolation step, below which a start counts as converged.
+    ``restriction`` picks the start distribution: Haar-random factors
+    (``full_bloch``) or real-plane angles uniform on [-pi/2, pi/2]
+    (``real_plane``, real-amplitude states only).
     """
 
     n_starts: int = 32
@@ -129,10 +130,10 @@ class PmaxResult:
     fewer.  ``converged`` says whether the best start converged; its
     ``pmax`` is then within ``tol`` of that start's limit on every state
     measured, which is the result policy of ``_batched_ascent``, not a
-    bound.  The best start is the lowest
-    start index whose squared overlap is within ``tol`` of the largest, and
-    ``pmax`` is that start's value, so rounding-level differences between
-    starts that reached the same maximum never decide the winner.
+    bound.  The best start is the lowest start index whose squared overlap
+    is within ``tol`` of the largest, and ``pmax`` is that start's value, so
+    rounding-level differences between starts that reached the same maximum
+    never decide the winner.
     """
 
     pmax: float
@@ -305,8 +306,9 @@ def _batched_ascent(
     is recorded in the change log with its old and new value.  It is not
     true that ``pmax`` is always as close to that limit as without the step.
     On 14 of the 15 reference states it is within 2e-16; the second n = 9
-    state stops 2.2e-13 below it, where the plain loop was within 3e-17 only
-    because it swept the best start on while the slowest start converged.
+    state stops 2.2e-13 below it, where the loop without the step was within
+    3e-17 only because it swept the best start on while the slowest start
+    converged.
     The golden ``pmax`` tolerance (1e-13) is unchanged.
 
     Retirement.  After each sweep, a start that has converged and whose
@@ -320,29 +322,28 @@ def _batched_ascent(
 
     Why this is exact.  A row's arithmetic does not depend on the batch it is
     in, so every start that is never retired ends bit-identical to the
-    non-retiring loop.  That holds with the extrapolation step too: its alpha depends only
-    on the solve's sweep index, and each row keeps or drops its own trial.
-    The plain step is monotone and the step never lowers a row, so the best
-    of the working batch never falls by more than the monotone slack
-    (1e-12), so a start retired more than ``margin`` below it
-    ends more than ``margin`` less that slack below the final best, which is
-    more than ``tol``: the tie rule (the lowest start within ``tol`` of the
-    best) never picks a retired start.  The result could
-    differ only if a retired start, swept on, would have climbed past the
-    best after converging.  Measured with the extrapolation step at the
-    default tol on 30 Haar states (n = 5..12, 32 starts each,
-    default_rng(2024)): a start climbed at most 1.0e-11 after converging, and
-    the 625 starts that would retire at their convergence sweep sat at least
-    6e-5 below the best.  At loose tol this is empirical, not proven: at
-    tol = 1e-6 a converged start later climbed 1.2e-2 on the same states,
-    more than the 1e-3 margin, though no result changed there (nor, without
-    the step, on any state tried at tol up to 1e-4).  The margin scales with ``tol`` because a
-    fixed 1e-9 froze starts within ``tol`` of the best and changed the result
-    at tol = 1e-8.
+    non-retiring loop.  That holds with the extrapolation step too: its alpha
+    depends only on the solve's sweep index, and each row keeps or drops its
+    own trial.  The plain step is monotone and the step never lowers a row,
+    so the best of the working batch never falls by more than the monotone
+    slack (1e-12), so a start retired more than ``margin`` below it ends more
+    than ``margin`` less that slack below the final best, which is more than
+    ``tol``: the tie rule (the lowest start within ``tol`` of the best) never
+    picks a retired start.  The result could differ only if a retired start,
+    swept on, would have climbed past the best after converging.  Measured
+    with the extrapolation step at the default tol on 30 Haar states
+    (n = 5..12, 32 starts each, default_rng(2024)): a start climbed at most
+    1.0e-11 after converging, and the 625 starts that would retire at their
+    convergence sweep sat at least 6e-5 below the best.  At loose tol this is
+    empirical, not proven: at tol = 1e-6 a converged start later climbed
+    1.2e-2 on the same states, more than the 1e-3 margin, though no result
+    changed there (nor, without the step, on any state tried at tol up to
+    1e-4).  The margin scales with ``tol`` because a fixed 1e-9 froze starts
+    within ``tol`` of the best and changed the result at tol = 1e-8.
 
     ``on_sweep`` receives the working batch's squared overlaps after the
-    sweep's extrapolation step; a single
-    start is always the best, never retires, and so is always reported.
+    sweep's extrapolation step; a single start is always the best, never
+    retires, and so is always reported.
     """
     n_starts = factors.shape[0]
     psi = amplitudes[np.newaxis]
@@ -447,11 +448,12 @@ class _Workspace:
       part, and the (S,) degeneracy mask.  numpy divides a complex array by
       a float one after casting the float to r + 0j, so dividing by the
       complex column gives the same bits and casts nothing.
-    * Extrapolation buffers, allocated by :meth:`start_extrapolating`, so
-      that a solve that never reaches the step neither allocates nor binds
-      them: room for (n, S, 2) factors at the start of the sweep, trial
+    * Extrapolation buffers, bound only once :meth:`start_extrapolating` is
+      called, so that a solve that never reaches the step builds no views
+      of them: room for (n, S, 2) factors at the start of the sweep, trial
       factors and their conjugates (first the scratch of the trial's norms),
-      and an (n, S, 1) complex trial norm column.  Each extrapolating sweep
+      and an (n, S, 1) complex trial norm column.  They are allocated with
+      the rest: allocated mid-solve, they raised the benchmark's peak RSS.  Each extrapolating sweep
       writes them before it reads them, so :meth:`compact` leaves them where
       they are, and each is bound as its first n * m rows, contiguous.  The
       trial is evaluated in the prefix buffers, whose last one is then the
@@ -480,14 +482,14 @@ class _Workspace:
         self._norm = np.zeros((n_starts, 1), dtype=c)
         self._ok = np.empty(n_starts, dtype=bool)
         self._floor = np.array(DEGENERATE_ENV_NORM)  # np.greater converts no Python float
-        self._trials = None  # the extrapolation buffers, once the step starts
+        self._trials = [np.empty(2 * n * n_starts, dtype=c) for _ in range(3)]
+        self._trials.append(np.zeros(n * n_starts, dtype=c))
+        self._extrapolating = False
         self.bind(n_starts)
 
     def start_extrapolating(self) -> None:
-        """Allocate the extrapolation buffers and bind them from now on."""
-        size = self._factors.size // 2
-        c = np.complex128
-        self._trials = [np.empty(2 * size, dtype=c) for _ in range(3)] + [np.zeros(size, dtype=c)]
+        """Bind the extrapolation buffers, with every batch from now on."""
+        self._extrapolating = True
         self.bind(self.factors.shape[1])
 
     def compact(self, keep: np.ndarray) -> None:
@@ -543,7 +545,7 @@ class _Workspace:
             for k in range(n)
         ]
         self.overlap = prefixes[-1]
-        if self._trials is not None:
+        if self._extrapolating:
             previous, trial, trial_conj, norm = self._trials
             self.previous, trial, trial_conj = (
                 b[: n * m * 2].reshape(n, m, 2) for b in (previous, trial, trial_conj)

@@ -158,7 +158,8 @@ class TestReferenceStates:
         others = [random_state(n, rng) for n in (5, 6, 7, 8, 9, 10, 5, 6, 7, 8)]
         golden = [self.GOLDEN[n][0] for n in (8, 9, 10)]
         cfg = SolverConfig()
-        for psi, best in zip(list(_golden_states().values()) + others, golden + self.OTHER_BEST_STARTS):
+        states = list(_golden_states().values()) + others
+        for psi, best in zip(states, golden + self.OTHER_BEST_STARTS):
             r = pmax_alternating(psi, cfg)
             assert r.best_start == best
             start = solver._start_factors(psi, cfg)[best:best + 1].copy()
@@ -354,7 +355,9 @@ class TestStartRetirement:
             psi = random_state(n, rng)
             starts = solver._start_factors(psi, SolverConfig(n_starts=5, rng_seed=n))
             sweeps = solver._EXTRAPOLATE_FROM + 8
-            sq, factors, conv_at, _ = solver._batched_ascent(psi.amplitudes, starts.copy(), sweeps, 0.0)
+            sq, factors, conv_at, _ = solver._batched_ascent(
+                psi.amplitudes, starts.copy(), sweeps, 0.0
+            )
             assert (conv_at == -1).all()
             for i in range(len(starts)):
                 one = solver._batched_ascent(psi.amplitudes, starts[i:i + 1].copy(), sweeps, 0.0)
