@@ -453,11 +453,11 @@ class _Workspace:
       of them: room for (n, S, 2) factors at the start of the sweep, trial
       factors and their conjugates (first the scratch of the trial's norms),
       and an (n, S, 1) complex trial norm column.  They are allocated with
-      the rest: allocated mid-solve, they raised the benchmark's peak RSS.  Each extrapolating sweep
-      writes them before it reads them, so :meth:`compact` leaves them where
-      they are, and each is bound as its first n * m rows, contiguous.  The
-      trial is evaluated in the prefix buffers, whose last one is then the
-      trial's overlap.
+      the rest: allocated mid-solve, they raised the benchmark's peak RSS.
+      Each extrapolating sweep writes them before it reads them, so
+      :meth:`compact` leaves them where they are, and each is bound as its
+      first n * m rows, contiguous.  The trial is evaluated in the prefix
+      buffers, whose last one is then the trial's overlap.
 
     That is about 2 * S * 2**n complex elements.  The step for qubit k is
     nine calls, each writing into a buffer above: the environment matmul
@@ -570,11 +570,12 @@ class _Workspace:
 def _row_norms(
     v: np.ndarray, scratch: np.ndarray, left: np.ndarray, right: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """2-norms of the rows of an (m, 2) complex array, written into the (m,)
-    float array ``out``, which is returned.  ``scratch`` is an (m, 2) complex
-    array, and ``left`` and ``right`` are the real parts of its two columns.
+    """2-norms of the rows of an (m, 2) complex array, or of an (n, m, 2)
+    one over its last axis, written into the (m,) or (n, m) float array
+    ``out``, which is returned.  ``scratch`` is a complex array of ``v``'s
+    shape, and ``left`` and ``right`` are the real parts of its two columns.
 
-    Bit for bit ``np.linalg.norm(v, axis=1)``: that reduces
+    Bit for bit ``np.linalg.norm(v, axis=-1)``: that reduces
     ``(v.conj() * v).real`` over the row, and a reduction over two entries is
     their one sum.
     """

@@ -305,7 +305,7 @@ class TestStartRetirement:
         assert rows[0] == 32
         first = solver._EXTRAPOLATE_FROM
         assert trials == [(8, rows[8 * (s - 1)], 2) for s in range(first, r.sweeps_used + 1)]
-        # The plain loop sends 32 rows per qubit per sweep; retirement cut
+        # Without retirement 32 rows go through each qubit step; retirement cut
         # that to 79 % on this state (1192 of 1504 row-sweeps).  Without
         # extrapolation the solve ran 2218 row-sweeps.
         assert sum(rows) == 8 * 1192
