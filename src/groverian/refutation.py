@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RealAngles, _HALF_PI, _check_seed
+from .states import RealAngles, _HALF_PI, _check_budget, _check_seed
 
 _QUARTER_PI = math.pi / 4.0
 
@@ -224,11 +224,13 @@ def constraint5_search(grid_resolution: int = 181, eps: float = 1e-8) -> Constra
     For fixed t3 the maximum of the amplitude over (t1, t2) is the top singular
     value max(|cos t3|, |sin t3|) of diag(cos t3, sin t3); ``true_max`` takes
     it over ``grid_resolution`` values of t3 on [-pi/2, pi/2], whose endpoints
-    attain the maximum.  Also reports the minimum |hyperplane residual| of the
-    term-maximizing family, which is pi (see :func:`flawed_max_ghz`).
+    attain the maximum; each t3 array must fit ``AMPLITUDE_BUDGET``.  Also
+    reports the minimum |hyperplane residual| of the term-maximizing family,
+    which is pi (see :func:`flawed_max_ghz`).
     """
     if grid_resolution < 9:
         raise ValueError(f"grid_resolution: must be >= 9, got {grid_resolution!r}")
+    _check_budget(grid_resolution, "grid_resolution", f"grid of {grid_resolution} t3 values")
     if not eps > 0.0:
         raise ValueError(f"eps: must be > 0, got {eps!r}")
 

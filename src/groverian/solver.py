@@ -16,13 +16,14 @@ kernel of :mod:`groverian.states`: it first builds the suffix products of the
 previous sweep's factors, then carries the prefix, psi contracted with the
 factors already updated in this sweep.  The environment of qubit k is that
 prefix times the suffix product of factors k+1..n-1, so one factor update
-costs one environment matmul and one prefix matmul.  The suffix products,
-the prefixes, the factors (held qubit-major) and a few (n_starts, 2) step
-buffers live in a workspace allocated once per solve, about
-2 * n_starts * 2**n complex elements.  Each qubit step is a fixed list of
-nine numpy calls that write into views of it bound once per working batch,
-so no step allocates; the budget check counts n_starts * 2**n against a
-fixed element budget before any start is allocated.
+costs one environment matmul and one prefix matmul; the last qubit's prefix
+is the overlap.  The suffix products, the prefixes, the factors (held
+qubit-major), two extrapolation buffers and a few (n_starts, 2) step buffers
+live in a workspace allocated once per solve, about 2 * n_starts * 2**n
+complex elements.  Each qubit step is a fixed list of nine numpy calls that
+write into views of it bound once per working batch, so no step allocates;
+the budget check counts n_starts * 2**n against a fixed element budget
+before any start is allocated.
 
 The plain sweep converges linearly, and about half of a start's sweeps used
 to be that tail.  So from sweep ``_EXTRAPOLATE_FROM`` on, each sweep ends
@@ -31,8 +32,8 @@ for alternating least squares (Rajih, Comon & Harshman, SIAM J. Matrix Anal.
 Appl. 30, 1128, 2008): every start tries f + alpha * (f - f_prev), with
 f_prev its factors at the start of the sweep and alpha = sweep**(1/3), each
 factor renormalized, and keeps it only where its squared overlap rises.  The
-trial costs one prefix contraction, written into the workspace.  On Haar
-states at n = 8-10 it cut the sweeps to convergence about 2.3-fold.
+trial is written over f_prev and evaluated by the sweep's own prefix chain.
+On Haar states at n = 8-10 it cut the sweeps to convergence about 2.3-fold.
 
 A batch runs until its slowest start converges, so a start that converged
 early to a local maximum far below the best would keep costing sweeps.  Such
@@ -69,8 +70,8 @@ DEGENERATE_ENV_NORM = 1e-14  # below this the previous factor is kept
 _MONOTONE_SLACK = 1e-12
 _REAL_INPUT_TOL = 1e-12
 _RETIRE_MARGIN = 1e-9  # floor of the retirement margin max(1e-9, 1000 * tol)
-# First sweep that ends with an extrapolation step.  A trial costs a prefix
-# contraction and about fifteen small calls, 30-40 % of a sweep at n = 8,
+# First sweep that ends with an extrapolation step.  A trial costs the n
+# prefix matmuls and sixteen other numpy calls, 30-40 % of a sweep at n = 8,
 # and pays only in a linear tail.  Picked on states outside the benchmark's
 # sample, timing solves interleaved, best of 5:
 # * 24 Haar states at n = 8-10 (default_rng(2718)): starting at sweep 10,
@@ -292,7 +293,7 @@ def _batched_ascent(
     extrapolation step.  Each working row forms g = f + alpha (f - f_prev),
     with f_prev its factors at the start of the sweep and
     alpha = sweep**(1/3), renormalizes each factor of g, and evaluates g by
-    one prefix-matmul chain written into the workspace's prefix buffers.  A
+    the sweep's own prefix-matmul chain, run on the conjugates of g.  A
     row takes g, and its squared overlap, only where that is strictly above
     the plain step's value.  Convergence is decided on the plain step's gain
     alone, before the step, so ``tol`` keeps its meaning: a row converges
@@ -362,27 +363,21 @@ def _batched_ascent(
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
-        if sweep == _EXTRAPOLATE_FROM:
-            ws.start_extrapolating()
         extrapolate = sweep >= _EXTRAPOLATE_FROM
         if extrapolate:
-            np.copyto(ws.previous, ws.factors)
+            np.copyto(ws.trial, ws.factors)
         # Factors k+1.. are not yet updated when qubit k is, so the suffix
         # products of the previous sweep's factors serve the whole sweep.
         for conj_k, tail_after, tail_k in ws.tail_steps:
             np.multiply(conj_k, tail_after, tail_k)
         env, v, scratch, left, right, norm, norm_re, floor, ok, ok_col = ws.buffers
-        for f_k, conj_k, conj_row, lead, tail, prefix in ws.steps:
+        for f_k, conj_k, tail, conj_row, lead, prefix in ws.steps:
             np.matmul(lead, tail, env)
             # A degenerate environment leaves its row's factor untouched.
             np.greater(_row_norms(v, scratch, left, right, norm_re), floor, ok)
             np.divide(v, norm, f_k, where=ok_col)
             np.conjugate(f_k, conj_k)
-            if prefix is not None:
-                np.matmul(conj_row, lead, prefix)
-        # env is the environment of the last factor w.r.t. all current
-        # others, so the full overlap is free here.
-        np.matmul(conj_row, env, ws.overlap)
+            np.matmul(conj_row, lead, prefix)
         new_sq = np.abs(ws.overlap[:, 0, 0]) ** 2
         if (new_sq < sq - _MONOTONE_SLACK).any():
             raise MonotonicityError(
@@ -392,22 +387,25 @@ def _batched_ascent(
         conv_at[newly] = sweep
         pending -= np.count_nonzero(newly)
         if extrapolate:
-            f, prev, conj = ws.factors, ws.previous, ws.conjugates
-            trial, trial_conj, left, right, norm, norm_re = ws.trial_buffers
-            # g = f + alpha (f - f_prev).  f and f_prev are unit vectors, so
-            # |g| >= (1 + alpha) - alpha = 1 and no trial factor degenerates.
-            np.subtract(f, prev, trial)
+            f, trial, conj = ws.factors, ws.trial, ws.conjugates
+            left, right, norm, norm_re = ws.trial_buffers
+            # g = f + alpha (f - f_prev), written over f_prev.  f and f_prev
+            # are unit vectors, so |g| >= (1 + alpha) - alpha = 1 and no
+            # trial factor degenerates.
+            np.subtract(f, trial, trial)
             np.multiply(trial, sweep ** (1 / 3), trial)
             np.add(f, trial, trial)
-            _row_norms(trial, trial_conj, left, right, norm_re)
+            _row_norms(trial, conj, left, right, norm_re)
             np.divide(trial, norm, trial)
-            np.conjugate(trial, trial_conj)
-            for conj_row, lead, prefix in ws.trial_steps:
+            # The sweep's own chain evaluates g from its conjugates, and the
+            # conjugates of the factors kept are taken again afterwards.
+            np.conjugate(trial, conj)
+            for _, _, _, conj_row, lead, prefix in ws.steps:
                 np.matmul(conj_row, lead, prefix)
             trial_sq = np.abs(ws.overlap[:, 0, 0]) ** 2
             better = trial_sq > new_sq
             np.copyto(f, trial, where=better[:, np.newaxis])
-            np.copyto(conj, trial_conj, where=better[:, np.newaxis])
+            np.conjugate(f, conj)
             np.copyto(new_sq, trial_sq, where=better)
         sq = new_sq
         if on_sweep is not None:
@@ -448,25 +446,25 @@ class _Workspace:
       part, and the (S,) degeneracy mask.  numpy divides a complex array by
       a float one after casting the float to r + 0j, so dividing by the
       complex column gives the same bits and casts nothing.
-    * Extrapolation buffers, bound only once :meth:`start_extrapolating` is
-      called, so that a solve that never reaches the step builds no views
-      of them: room for (n, S, 2) factors at the start of the sweep, trial
-      factors and their conjugates (first the scratch of the trial's norms),
-      and an (n, S, 1) complex trial norm column.  They are allocated with
-      the rest: allocated mid-solve, they raised the benchmark's peak RSS.
-      Each extrapolating sweep writes them before it reads them, so
-      :meth:`compact` leaves them where they are, and each is bound as its
-      first n * m rows, contiguous.  The trial is evaluated in the prefix
-      buffers, whose last one is then the trial's overlap.
+    * Two extrapolation buffers: (n, S, 2) trial factors, which hold the
+      factors at the start of the sweep until the trial is written over
+      them, and an (n, S, 1) complex trial norm column.  The trial's norms
+      use the conjugates as scratch, and the trial is evaluated by the
+      steps' own prefix matmuls on its conjugates, so its overlap lands in
+      the last prefix.  Both are allocated with the rest: allocated
+      mid-solve, they raised the benchmark's peak RSS.  Each extrapolating
+      sweep writes them before it reads them, so :meth:`compact` leaves them
+      where they are, and each is bound as its first n * m rows, contiguous.
 
     That is about 2 * S * 2**n complex elements.  The step for qubit k is
     nine calls, each writing into a buffer above: the environment matmul
     (the operation of :func:`groverian.states.contract_tail`), the four
     calls of :func:`_row_norms` into the norm column's real part, the mask,
     the masked divide into f_k, the conjugate into conj_k, and the prefix
-    matmul (none for the last qubit).  Outputs are passed positionally,
-    which numpy parses faster than ``out=``.  :meth:`bind` points the views
-    at the first m rows; :meth:`compact` moves the kept rows there first.
+    matmul, which for the last qubit writes the overlap.  Outputs are passed
+    positionally, which numpy parses faster than ``out=``.  :meth:`bind`
+    points the views at the first m rows; :meth:`compact` moves the kept
+    rows there first.
     """
 
     def __init__(self, psi: np.ndarray, factors: np.ndarray) -> None:
@@ -482,15 +480,9 @@ class _Workspace:
         self._norm = np.zeros((n_starts, 1), dtype=c)
         self._ok = np.empty(n_starts, dtype=bool)
         self._floor = np.array(DEGENERATE_ENV_NORM)  # np.greater converts no Python float
-        self._trials = [np.empty(2 * n * n_starts, dtype=c) for _ in range(3)]
-        self._trials.append(np.zeros(n * n_starts, dtype=c))
-        self._extrapolating = False
+        self._trial = np.empty(2 * n * n_starts, dtype=c)
+        self._trial_norm = np.zeros(n * n_starts, dtype=c)
         self.bind(n_starts)
-
-    def start_extrapolating(self) -> None:
-        """Bind the extrapolation buffers, with every batch from now on."""
-        self._extrapolating = True
-        self.bind(self.factors.shape[1])
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep the working rows flagged in ``keep``, in order, and bind them."""
@@ -503,24 +495,21 @@ class _Workspace:
 
         ``tail_steps`` lists, for k = n-1 down to 1, the operands of suffix
         product k and the (m, 2, R) view it is written into; ``steps`` lists,
-        for each qubit k, its factor and conjugate blocks, the (m, 1, 2)
-        conjugate row, the prefix it is contracted out of (psi for k = 0) as
-        (., 2, R) rows, suffix product k+1 as an (m, R, 1) column, and the
-        prefix it writes (None for the last qubit, whose prefix is the
-        overlap, read off its environment).
+        for each qubit k, its factor and conjugate blocks, suffix product k+1
+        as an (m, R, 1) column, and then the prefix chain's operands: the
+        (m, 1, 2) conjugate row, the prefix it is contracted out of (psi for
+        k = 0) as (., 2, R) rows, and the prefix it writes, which for the
+        last qubit is ``overlap``.
         ``buffers`` holds the step buffers and their views: the environment
         and its (m, 2) rows, the scratch and the real parts of its two
         columns, the norm column and its real part, the 0-d degeneracy
         threshold, and the mask as (m,) and as an (m, 1) column.
         ``factors`` and ``conjugates`` are the working factors and their
-        conjugates as (n, m, 2).  Once the step has started, ``previous`` is
-        the (n, m, 2) view the factors are copied into at the start of an
-        extrapolating sweep; ``trial_buffers`` holds the trial factors, their
-        conjugates and the real parts of the conjugates' two columns (the
-        scratch of the trial's norms), and the trial norm column and its real
-        part; ``trial_steps`` lists, for each qubit k, the trial's (m, 1, 2)
-        conjugate row, the prefix it is contracted out of and the prefix it
-        writes.
+        conjugates as (n, m, 2), and ``trial`` is the (n, m, 2) view the
+        factors are copied into at the start of an extrapolating sweep.
+        ``trial_buffers`` holds the real parts of the conjugates' two columns
+        (the scratch of the trial's norms) and the trial norm column and its
+        real part.
         """
         n = self._factors.shape[0]
         self.factors = factors = self._factors[:, :m]
@@ -533,31 +522,14 @@ class _Workspace:
             (conj[k, :, :, np.newaxis], tails[k][:, np.newaxis, :], tails[k - 1].reshape(m, 2, -1))
             for k in range(n - 1, 0, -1)
         ]
-        self.steps = [
-            (
-                factors[k],
-                conj[k],
-                conj[k, :, np.newaxis, :],
-                leads[k],
-                tails[k][:, :, np.newaxis],
-                prefixes[k] if k + 1 < n else None,
-            )
-            for k in range(n)
-        ]
+        columns = [t[:, :, np.newaxis] for t in tails]
+        self.steps = list(zip(factors, conj, columns, conj[:, :, np.newaxis], leads, prefixes))
         self.overlap = prefixes[-1]
-        if self._extrapolating:
-            previous, trial, trial_conj, norm = self._trials
-            self.previous, trial, trial_conj = (
-                b[: n * m * 2].reshape(n, m, 2) for b in (previous, trial, trial_conj)
-            )
-            norm = norm[: n * m].reshape(n, m, 1)
-            self.trial_steps = [
-                (trial_conj[k, :, np.newaxis, :], leads[k], prefixes[k]) for k in range(n)
-            ]
-            self.trial_buffers = (
-                trial, trial_conj, trial_conj.real[..., 0], trial_conj.real[..., 1],
-                norm, norm.real[..., 0],
-            )
+        self.trial = self._trial[: n * m * 2].reshape(n, m, 2)
+        trial_norm = self._trial_norm[: n * m].reshape(n, m, 1)
+        self.trial_buffers = (
+            conj.real[..., 0], conj.real[..., 1], trial_norm, trial_norm.real[..., 0]
+        )
         env, scratch, norm, ok = self._env[:m], self._scratch[:m], self._norm[:m], self._ok[:m]
         self.buffers = (
             env, env[:, :, 0],

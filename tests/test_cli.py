@@ -184,6 +184,14 @@ class TestRefuteCommand:
         assert code == 0
         assert out == '{"solutions": [], ' + REFUTE_SCALARS
 
+    def test_resolution_over_the_budget_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "refute", "--resolution", "16777217")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: grid_resolution: grid of 16777217 t3 values exceeds the"
+            " 16777216-element budget\n"
+        )
+
     def test_csv_rejected(self, capsys):
         code, _, err = run_cli(capsys, "refute", "--format", "csv")
         assert code == 2

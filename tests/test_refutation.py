@@ -357,6 +357,17 @@ class TestConstraintSearch:
         with pytest.raises(ValueError, match="grid_resolution"):
             constraint5_search(grid_resolution=8)
 
+    def test_resolution_over_the_budget_is_refused_before_the_grid(self):
+        # One t3 value over the budget; each grid array would take 128 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^grid_resolution: grid of 16777217 t3 values"):
+                constraint5_search(grid_resolution=2**24 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
     def test_eps_guard(self, eps):
         with pytest.raises(ValueError, match="eps"):

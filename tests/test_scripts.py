@@ -108,6 +108,10 @@ START_BUDGET_ERROR = (
             "run_refutation.py", ["--rng-seed", 2**64],
             "error: rng_seed: must be an unsigned 64-bit integer, got 18446744073709551616\n",
         ),
+        (
+            "run_refutation.py", ["--resolution", 2**24 + 1],
+            "error: grid_resolution: grid of 16777217 t3 values exceeds the 16777216-element budget\n",
+        ),
         # Refused by the first solve, not by SolverConfig.
         ("family_sweep.py", ["--seeds", 2097153], START_BUDGET_ERROR),
         ("trace_search_entanglement.py", ["--seeds", 2097153], START_BUDGET_ERROR),
@@ -118,6 +122,7 @@ START_BUDGET_ERROR = (
     ],
     ids=[
         "sweep-seeds", "sweep-rng-seed", "trace-seeds", "trace-rng-seed", "refutation-rng-seed",
+        "refutation-grid-budget",
         "sweep-start-budget", "trace-start-budget", "trace-iterations-factor",
     ],
 )

@@ -364,6 +364,21 @@ class TestStartRetirement:
                 assert one[0].tobytes() == sq[i:i + 1].tobytes()
                 assert one[1].tobytes() == factors[i:i + 1].tobytes()
 
+    @pytest.mark.parametrize("n_starts", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_extrapolating_small_registers_match_the_non_retiring_loop(self, n, n_starts):
+        # At n = 1 the one qubit step both reads psi and writes the overlap,
+        # and the trial's prefix chain is that same step.  At tol = 0 no row
+        # converges, so every sweep from _EXTRAPOLATE_FROM on extrapolates.
+        psi = random_state(n, np.random.default_rng(n))
+        starts = solver._start_factors(psi, SolverConfig(n_starts=n_starts, rng_seed=n))
+        sweeps = solver._EXTRAPOLATE_FROM + 5
+        got = solver._batched_ascent(psi.amplitudes, starts.copy(), sweeps, 0.0)
+        want = _reference_ascent(psi.amplitudes, starts.copy(), sweeps, 0.0)
+        assert got[3] == want[3] == sweeps
+        for mine, ref in zip(got[:3], want[:3]):
+            assert mine.tobytes() == ref.tobytes()
+
 
 class TestSweepWorkspace:
     def test_row_norms_equal_the_library_norm(self):

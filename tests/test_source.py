@@ -128,3 +128,13 @@ def test_amplitude_budget_read_only_in_states():
                 continue
             found += [(path.name, node.lineno) for name in names if name == "AMPLITUDE_BUDGET"]
     assert found == [], f"AMPLITUDE_BUDGET outside states.py: {found}"
+
+
+def test_workspace_binds_one_layout():
+    # _Workspace.bind builds the same views for every working batch; a branch
+    # in it is a second layout that only some solves would reach.
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    (workspace,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Workspace"]
+    (bind,) = [n for n in workspace.body if isinstance(n, ast.FunctionDef) and n.name == "bind"]
+    lines = [node.lineno for node in ast.walk(bind) if isinstance(node, (ast.If, ast.IfExp))]
+    assert lines == [], f"solver.py: _Workspace.bind branches at lines {lines}"
