@@ -137,14 +137,15 @@ class PmaxResult:
     best start converged, which it has whenever the leader stop ended the
     solve; its ``pmax`` is then at most ``tol`` below the solve that sweeps
     every start until the slowest converges, and within ``tol`` of the
-    value at tol = 1e-17, on every state measured.  That is the result
-    policy of ``_batched_ascent``, not a bound.  The best start is the
-    lowest start index whose squared overlap is within ``tol`` of the
-    largest, and ``pmax`` is that start's value, so rounding-level
-    differences between starts that reached the same maximum never decide
-    the winner.  Each factor of ``optimizer`` carries the phase that makes
-    its first entry of modulus >= 1/2 real and positive, so the printed
-    optimizer depends on the maximizer, not on the start that reached it.
+    value at tol = 1e-17, on every state measured with 32 starts (smaller
+    batches can stop in a lower basin).  That is the result policy of
+    ``_batched_ascent``, not a bound.  The best start is the lowest start
+    index whose squared overlap is within ``tol`` of the largest, and
+    ``pmax`` is that start's value, so rounding-level differences between
+    starts that reached the same maximum never decide the winner.  Each
+    factor of ``optimizer`` carries the phase that makes its first entry of
+    modulus >= 1/2 real and positive, so the printed optimizer depends on
+    the maximizer, not on the start that reached it.
     """
 
     pmax: float
