@@ -35,17 +35,18 @@ factor renormalized, and keeps it only where its squared overlap rises.  The
 trial is written over f_prev and evaluated by the sweep's own prefix chain.
 On Haar states at n = 8-10 it cut the sweeps to convergence about 2.3-fold.
 
-A batch does not wait for its slowest start.  It stops once its leader, the
-start the tie rule picks, has converged and no start still climbing is
-estimated to pass it by more than ``tol`` (``_leader_stop``); on 148 test
-states this cut the summed sweeps from 7656 to 4621.  Until then a start
-that converged early to a local maximum far below the best would keep
-costing sweeps, so it is retired: once it has converged and sits more than
-max(1e-9, 1000 * tol) below the current best it is frozen and leaves the
-batch.  Rows of the batch do not interact, the best never falls, and a
-retired start never enters the stop rule, so the result is bit-identical to
-sweeping every start until the stop, as long as no converged start would
-have climbed past the best afterwards (see ``_batched_ascent``).
+A batch of at least ``_STOP_MIN_STARTS`` starts does not wait for its
+slowest start.  It stops once its leader, the start the tie rule picks, has
+converged and no start still climbing is estimated to pass it by more than
+``tol`` (``_leader_stop``).  A smaller batch sweeps until every start has
+converged.  Until the solve ends, a start that converged early to a local
+maximum far below the best would keep costing sweeps, so it is retired: once
+it has converged and sits more than max(1e-9, 1000 * tol) below the current
+best it is frozen and leaves the batch.  Rows of the batch do not interact,
+the best never falls, and a retired start never enters the stop rule, so the
+result is bit-identical to sweeping every start until the stop, as long as
+no converged start would have climbed past the best afterwards (see
+``_batched_ascent``).
 """
 from __future__ import annotations
 
@@ -84,7 +85,8 @@ _RETIRE_MARGIN = 1e-9  # floor of the retirement margin max(1e-9, 1000 * tol)
 #   converge in 10-20 sweeps, and there the step saved no sweep, so starting
 #   at 10 made those solves 5-20 % slower and starting at 20 left them level.
 _EXTRAPOLATE_FROM = 20
-_STOP_WINDOW = 7  # squared overlaps per row that the leader stop reads
+_STOP_WINDOW = 7  # squared overlaps kept per row: the leader stop reads three two-sweep gains
+_STOP_MIN_STARTS = 32  # smallest batch the leader stop may end early
 
 
 class MonotonicityError(RuntimeError):
@@ -130,17 +132,14 @@ class PmaxResult:
     A start converges at the first sweep whose plain step, the update of
     every factor before that sweep's extrapolation step, raised its squared
     overlap by less than ``tol``.  ``sweeps_used`` is the number of sweeps
-    run, an extrapolating sweep counting as one: until the leader stop of
-    ``_batched_ascent`` held, every start converged, or ``max_sweeps``.
-    Starts retired early, far below the best, ran fewer, and starts still
-    climbing at the stop never converged.  ``converged`` says whether the
-    best start converged, which it has whenever the leader stop ended the
-    solve; its ``pmax`` is then at most ``tol`` below the solve that sweeps
-    every start until the slowest converges, and within ``tol`` of the
-    value at tol = 1e-17, on every state measured with 32 starts (smaller
-    batches can stop in a lower basin).  That is the result policy of
-    ``_batched_ascent``, not a bound.  The best start is the lowest start
-    index whose squared overlap is within ``tol`` of the largest, and
+    run, an extrapolating sweep counting as one: until every start
+    converged, the leader stop of ``_batched_ascent`` held (batches of at
+    least 32 starts), or ``max_sweeps``.  Starts retired early, far below
+    the best, ran fewer, and starts still climbing at the stop never
+    converged.  ``converged`` says whether the best start converged, which
+    it has whenever the leader stop ended the solve; ``pmax`` then follows
+    the result policy of ``_batched_ascent``.  The best start is the lowest
+    start index whose squared overlap is within ``tol`` of the largest, and
     ``pmax`` is that start's value, so rounding-level differences between
     starts that reached the same maximum never decide the winner.  Each
     factor of ``optimizer`` carries the phase that makes its first entry of
@@ -325,45 +324,24 @@ def _batched_ascent(
     when one plain sweep raises it by less than ``tol``.
 
     Leader stop.  After each sweep in which some working start has
-    converged, :func:`_leader_stop` asks whether the leader, the tie-rule
-    pick among the working rows, has converged, whether its estimated
-    remaining climb is below ``tol / 2``, and whether no pending row's value
-    plus its own estimated climb exceeds the leader's by more than ``tol``;
-    if all three hold, the solve stops.  The estimates come from each row's
-    last three two-sweep gains, so the last seven squared overlaps of the
-    working rows are kept.  Each part is needed.  Stopping as soon as the
-    leader had converged ended one n = 12 state in a lower basin, 0.0089992
-    against the 0.0095453 that a slower start reached, and six more states
-    1.1-2.4e-12 short in linear tails.  An estimate from the last two gains
-    alone, bounded by ``tol`` for the leader, left 16 of 10000 random solves
-    (n = 1..7, 1-9 starts) up to 2.2 * tol short of the full-batch solve in
-    the leader's own erratic tail; the rule here left 1, 1.03 * tol short.
-    The estimates are computed only once the leader has converged, so a
-    sweep before that pays only for finding the leader.
-
-    Small batches.  No estimate from recent gains sees a start that crawls
-    along a plateau and then climbs past the leader.  With 1-9 starts, 11 of
-    those 10000 solves stopped in a lower basin, 2e-4 to 5e-2 below the
-    full-batch solve.  With the default 32 starts none did, in 148 test
-    states and 4000 random ones at n = 1..7.
+    converged, :func:`_leader_stop` decides whether the solve may end before
+    its slowest start converges; its docstring gives the conditions and why
+    each is there.  A batch of fewer than ``_STOP_MIN_STARTS`` starts never
+    stops early.
 
     Result policy.  The step and the stop change results at rounding level,
     so results are not bit-equal to the loop without them, and the best
-    start can be another start that reached the same maximum (13 of the 148
-    states below at the default tol).  What holds instead, on the goldens,
-    the benchmark's 15 reference states and a corpus of 148 states (Haar
-    states at n = 4..12, real ones, W, every Dicke state at n <= 6 and
-    Grover rows at n = 5 and 8), with 32 starts: ``pmax`` is the same local
-    maximum as the full-batch solve, which sweeps every start until the
-    slowest converges, and at most ``tol`` below it, at tol = 1e-12, 1e-10,
-    1e-8 and 1e-6; at the default tol it is within ``tol`` of the value
-    reached at tol = 1e-17; and each pinned value that moved is recorded in
-    the change log with its old and new value.  It is not true that
-    ``pmax`` is always as close to that limit as the full-batch solve: the
-    worst state ends 3.2e-13 below it, where the full-batch solve was within
-    1e-16 because it swept the best start on while the slowest start
-    converged.
-    The golden ``pmax`` tolerance (1e-13) is unchanged.
+    start can be another start that reached the same maximum.  What holds
+    instead, on the goldens, the benchmark's 15 reference states and a
+    corpus of 148 states (Haar states at n = 4..12, real ones, W, every
+    Dicke state at n <= 6 and Grover rows at n = 5 and 8), with 32 starts:
+    ``pmax`` is the same local maximum as the full-batch solve, which sweeps
+    every start until the slowest converges, and at most ``tol`` below it,
+    at tol = 1e-12, 1e-10, 1e-8 and 1e-6; and at the default tol it is
+    within ``tol`` of the value reached at tol = 1e-17.  It is not always as
+    close to that limit as the full-batch solve, which sweeps the best start
+    on while the slowest converges.  A batch of fewer than 32 starts sweeps
+    to the slowest start, so the stop does not change its result.
 
     Retirement.  After each sweep that did not stop the solve, a start that
     has converged and whose squared overlap is more than
@@ -373,10 +351,9 @@ def _batched_ascent(
     squared overlaps, only when a start retires.  The loop still stops when
     the leader stop holds, every start has converged or at ``max_sweeps``,
     so the sweeps executed and the convergence sweeps are those of the
-    non-retiring loop, which sweeps every start until the stop.  Under the
-    leader stop retirement still pays: on the benchmark's 15 reference
-    states it cuts the rows swept through the qubit steps by 20 % and the
-    solve time by 3-10 %.
+    non-retiring loop, which sweeps every start until the stop.  On the
+    benchmark's 15 reference states it cuts the rows swept through the qubit
+    steps by 20 %.
 
     Why this is exact.  A row's arithmetic does not depend on the batch it is
     in, so every start that is never retired ends bit-identical to the
@@ -477,7 +454,7 @@ def _batched_ascent(
             break
         if pending == len(rows):
             continue  # no working start has converged, so none leads or retires
-        if _leader_stop(recent, conv_at, tol):
+        if _leader_stop(recent, conv_at, tol, n_starts):
             break
         retire = (conv_at >= 0) & (sq < sq.max() - margin)
         if retire.any():
@@ -494,32 +471,45 @@ def _batched_ascent(
     return sq_out, factors_out, conv_out, sweeps
 
 
-def _leader_stop(recent: list[np.ndarray], conv_at: np.ndarray, tol: float) -> bool:
+def _leader_stop(
+    recent: list[np.ndarray], conv_at: np.ndarray, tol: float, n_starts: int
+) -> bool:
     """Whether a batch may stop before its slowest start converges.
 
-    ``recent`` holds the rows' squared overlaps after the last seven sweeps,
-    oldest first (fewer early in a solve), and ``conv_at`` their convergence
-    sweeps, -1 for a pending row.  The leader is the tie-rule pick, the
-    lowest row within ``tol`` of the largest value.  The batch may stop once
-    the leader has converged, its estimated remaining climb is below
-    ``tol / 2``, and no pending row's value plus its own estimated climb
-    exceeds the leader's value by more than ``tol``.
+    ``recent`` holds the working rows' squared overlaps after the last
+    ``_STOP_WINDOW`` sweeps, oldest first (fewer early in a solve),
+    ``conv_at`` their convergence sweeps, -1 for a pending row, and
+    ``n_starts`` the starts the solve began with.  The leader is the
+    tie-rule pick, the lowest row within ``tol`` of the largest value.  The
+    batch may stop once all of these hold:
 
-    The climbs are estimated only once the leader has converged and seven
-    values exist.  With two-sweep gains G_t = sq_t - sq_{t-2} and r the
-    larger of G_t / G_{t-2} and G_{t-2} / G_{t-4}, a tail whose gains
-    shrink geometrically has G_t * r / (1 - r) left to climb; the estimate
-    is inf where r >= 1 and 0 where G_t <= 0.  The window is two sweeps
-    because the extrapolation step makes consecutive gains alternate (ratios
-    such as 0.2, 2.1, 0.2), so a one-sweep ratio underestimates the climb.
-    Even two-sweep ratios are erratic in extrapolated tails, hence the
-    larger of two ratios and the halved bound on the leader's own climb.
+    * it began with at least ``_STOP_MIN_STARTS`` starts: in a smaller one
+      the best basin may hold one start that crawls along a plateau, with
+      shrinking gains, before it climbs past the leader;
+    * the leader has converged, so its value is the one returned;
+    * the leader's estimated remaining climb is below ``tol / 2``, so a
+      converged leader in a slow linear tail is swept on;
+    * no pending row's value plus its own estimated climb exceeds the
+      leader's by more than ``tol``, so a slower start in a higher basin is
+      waited for.
+
+    A climb is estimated from the last three two-sweep gains
+    G_t = sq_t - sq_{t-2}, which take seven values.  With r the larger of
+    G_t / G_{t-2} and G_{t-2} / G_{t-4}, a tail whose gains shrink
+    geometrically has G_t * r / (1 - r) left to climb; the estimate is inf
+    where r >= 1 and 0 where G_t <= 0.  The gains span two sweeps because
+    the extrapolation step makes consecutive gains alternate, and r is the
+    larger of two ratios because even two-sweep ratios are erratic in
+    extrapolated tails.  The estimates run only once the leader has
+    converged, so a sweep before that pays only for finding the leader.
     """
+    if n_starts < _STOP_MIN_STARTS or len(recent) < _STOP_WINDOW:
+        return False
     sq = recent[-1]
     leader = int(np.argmax(sq >= sq.max() - tol))
-    if conv_at[leader] < 0 or len(recent) < _STOP_WINDOW:
+    if conv_at[leader] < 0:
         return False
-    now, before, earlier = sq - recent[4], recent[4] - recent[2], recent[2] - recent[0]
+    now, before, earlier = sq - recent[-3], recent[-3] - recent[-5], recent[-5] - recent[-7]
     ratio, older = np.full_like(now, np.inf), np.full_like(now, np.inf)
     np.divide(now, before, out=ratio, where=before > 0.0)
     np.divide(before, earlier, out=older, where=earlier > 0.0)
