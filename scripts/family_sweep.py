@@ -6,7 +6,7 @@ qubits, and all Dicke states up to 6 qubits; writes one CSV of
 (family, parameters, closed form, solver value, |difference|).
 
 Usage:
-    python scripts/family_sweep.py [--seeds 32] [--rng-seed 0] [--out family_sweep.csv]
+    python scripts/family_sweep.py [--seeds N] [--rng-seed RNG_SEED] [--out family_sweep.csv]
 
 An invalid option, a value the solver refuses or a failed write prints
 `error: ...` on stderr and exits as `groverian` does (2, or 4 for I/O); the
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from groverian import FAMILIES, SolverConfig, make_family, pmax_alternating
-from groverian.cli import run
+from groverian.cli import STARTS, run
 
 
 def sweep_specs() -> list:
@@ -33,9 +33,7 @@ def sweep_specs() -> list:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=32)
-    ap.add_argument("--rng-seed", type=int, default=0)
+    ap = argparse.ArgumentParser(description=__doc__, parents=[STARTS])
     ap.add_argument("--out", default="family_sweep.csv")
     args = ap.parse_args()
     cfg = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)

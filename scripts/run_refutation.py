@@ -6,15 +6,12 @@ vanish, and records the termwise ("flawed") maximum, the true maximum, the
 hyperplane obstruction, and the rewrite-identity deviation.
 
 Usage:
-    python scripts/run_refutation.py [--resolution 181] [--eps 1e-8]
-        [--identity-samples 100000] [--rng-seed 0] [--out refutation_report.json]
+    python scripts/run_refutation.py [--resolution N] [--eps EPS]
+        [--identity-samples N] [--rng-seed RNG_SEED] [--out refutation_report.json]
 
---resolution is the number of t3 grid points for the true maximum; --eps is
-the max|J| below which an enumerated point is reported; --identity-samples
-random triples, drawn from a generator seeded with --rng-seed, check the
-rewrite identity.  The options and the report are those of `groverian
-refute`; an invalid value or a failed write prints `error: ...` on stderr
-and exits as `groverian` does (2, or 4 for I/O).
+The options, their defaults and the report are those of `groverian refute`;
+an invalid value or a failed write prints `error: ...` on stderr and exits as
+`groverian` does (2, or 4 for I/O).
 """
 import argparse
 import json
@@ -22,15 +19,11 @@ import sys
 from pathlib import Path
 
 from groverian import refutation_report
-from groverian.cli import run
+from groverian.cli import REFUTE, run
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--resolution", type=int, default=181)
-    ap.add_argument("--eps", type=float, default=1e-8)
-    ap.add_argument("--identity-samples", type=int, default=10**5)
-    ap.add_argument("--rng-seed", type=int, default=0)
+    ap = argparse.ArgumentParser(description=__doc__, parents=[REFUTE])
     ap.add_argument("--out", default="refutation_report.json")
     args = ap.parse_args()
 

@@ -6,7 +6,7 @@ Writes one CSV per register size over twice the optimal iteration count
 and prints where the entanglement peaks.
 
 Usage:
-    python scripts/trace_search_entanglement.py [--seeds 32] [--rng-seed 0] [--out-dir .]
+    python scripts/trace_search_entanglement.py [--seeds N] [--rng-seed RNG_SEED] [--out-dir .]
 
 An invalid option, a value the solver refuses or a failed write prints
 `error: ...` on stderr and exits as `groverian` does (2, or 4 for I/O);
@@ -17,15 +17,13 @@ import sys
 from pathlib import Path
 
 from groverian import GroverConfig, SolverConfig, optimal_iterations, run_trace, trace_to_csv
-from groverian.cli import run
+from groverian.cli import STARTS, run
 
 CASES = [(3, 5), (5, 7)]  # (n_qubits, marked index)
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=32, help="solver starts per row")
-    ap.add_argument("--rng-seed", type=int, default=0)
+    ap = argparse.ArgumentParser(description=__doc__, parents=[STARTS])
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()
     solver = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)

@@ -24,6 +24,7 @@ identical flags (including --rng-seed) give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -48,6 +49,26 @@ EXIT_NORMALIZATION = 3
 EXIT_IO = 4
 
 _RESTRICTION_FLAG = {"full": "full_bloch", "real": "real_plane"}
+_REPORT = inspect.signature(refutation.refutation_report).parameters
+
+# Flags shared with the scripts, declared once with the library's defaults.  Every
+# parser built on them shares their Action objects, so none may set_defaults their dests.
+STARTS = argparse.ArgumentParser(add_help=False)
+STARTS.add_argument("--seeds", type=int, default=SolverConfig.n_starts, metavar="N",
+                    help="number of solver starts (default %(default)s)")
+STARTS.add_argument("--rng-seed", type=int, default=SolverConfig.rng_seed,
+                    help="seed of the solver's random starts (default %(default)s)")
+
+REFUTE = argparse.ArgumentParser(add_help=False)
+REFUTE.add_argument("--rng-seed", type=int, default=_REPORT["rng_seed"].default,
+                    help="seed of the identity check's random triples (default %(default)s)")
+REFUTE.add_argument("--resolution", type=int, default=_REPORT["grid_resolution"].default,
+                    help="t3 grid points for the true maximum (default %(default)s)")
+REFUTE.add_argument("--eps", type=float, default=_REPORT["eps"].default,
+                    help="report an all-zero-J point only if its max|J| is below this "
+                         "(default %(default)s)")
+REFUTE.add_argument("--identity-samples", type=int, default=_REPORT["identity_samples"].default,
+                    help="random triples for the rewrite identity check (default %(default)s)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,20 +177,16 @@ def _cmd_grover_trace(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--seeds", type=int, default=32, metavar="N",
-                        help="number of solver starts (default 32)")
-    solver.add_argument("--tol", type=float, default=1e-12,
-                        help="solver convergence threshold per sweep (default 1e-12)")
-    solver.add_argument("--max-sweeps", type=int, default=500,
-                        help="solver sweep cap per start (default 500)")
-    solver.add_argument("--rng-seed", type=int, default=0,
-                        help="seed of the solver's random starts (default 0)")
+    solver = argparse.ArgumentParser(add_help=False, parents=[STARTS])
+    solver.add_argument("--tol", type=float, default=SolverConfig.tol,
+                        help="solver convergence threshold per sweep (default %(default)s)")
+    solver.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps,
+                        help="solver sweep cap per start (default %(default)s)")
     solver.add_argument("--restriction", choices=sorted(_RESTRICTION_FLAG), default="full",
-                        help="solver start distribution (default full)")
+                        help="solver start distribution (default %(default)s)")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
-                     help="stdout format (default json)")
+                     help="stdout format (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="groverian",
@@ -193,16 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cross-check the closed form against the solver")
     p.set_defaults(handler=_cmd_analytic)
 
-    p = sub.add_parser("refute", help="angle-substitution stationarity analysis report")
-    p.add_argument("--rng-seed", type=int, default=0,
-                   help="seed of the identity check's random triples (default 0)")
-    p.add_argument("--resolution", type=int, default=181,
-                   help="t3 grid points for the true maximum (default 181)")
-    p.add_argument("--eps", type=float, default=1e-8,
-                   help="report an all-zero-J point only if its max|J| is below this "
-                        "(default 1e-8)")
-    p.add_argument("--identity-samples", type=int, default=10**5,
-                   help="random triples for the rewrite identity check (default 1e5)")
+    p = sub.add_parser("refute", parents=[REFUTE],
+                       help="angle-substitution stationarity analysis report")
     p.set_defaults(handler=_cmd_refute)
 
     p = sub.add_parser("grover-trace", parents=[solver],

@@ -90,7 +90,7 @@ def optimal_iterations(n: int) -> int:
     theta = math.asin(2.0 ** (-n / 2.0))
     k0 = round(math.pi / (4.0 * theta) - 0.5)
     candidates = [k for k in (k0 - 1, k0, k0 + 1) if k >= 0]
-    return max(candidates, key=lambda k: (math.sin((2 * k + 1) * theta) ** 2, -k))
+    return max(candidates, key=lambda k: (success_probability_closed_form(n, k), -k))
 
 
 def success_probability_closed_form(n: int, k: int) -> float:

@@ -232,7 +232,8 @@ def pmax_gridsearch(psi: PureState, resolution: int) -> float:
 
 
 def ascent_history(
-    psi: PureState, start: ProductState, max_sweeps: int = 500, tol: float = 1e-12
+    psi: PureState, start: ProductState,
+    max_sweeps: int = SolverConfig.max_sweeps, tol: float = SolverConfig.tol,
 ) -> np.ndarray:
     """Per-sweep squared overlaps of a single alternating run (entry 0 is the
     start's own squared overlap).  Exposed for diagnostics and for checking

@@ -376,12 +376,12 @@ class TestFlagSurface:
         assert code == 2, err
 
     def test_solver_flag_defaults_are_the_library_defaults(self):
-        # The parser repeats SolverConfig's defaults as literals.
+        # The solver flags read their defaults from SolverConfig.
         args = _build_parser().parse_args(["pmax", "--family", "ghz:3"])
         assert _solver_config(args) == SolverConfig()
 
     def test_refute_flag_defaults_are_the_library_defaults(self):
-        # The parser repeats refutation_report's defaults as literals.
+        # The refute flags read their defaults from refutation_report.
         args = _build_parser().parse_args(["refute"])
         parsed = {
             "grid_resolution": args.resolution,

@@ -77,6 +77,31 @@ def test_family_names_only_in_the_registry(path):
     assert lines == [], f"{path.name}: family names outside the registry at lines {lines}"
 
 
+SHARED_FLAGS = {
+    "--seeds", "--tol", "--max-sweeps", "--rng-seed", "--resolution", "--eps", "--identity-samples",
+}
+
+
+def test_shared_flag_defaults_come_from_the_library():
+    # SolverConfig and refutation_report own these defaults; a number in a
+    # flag's default= is a second copy that can drift from them.
+    seen, found = set(), []
+    for path in [PACKAGE / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"):
+                continue
+            flags = {a.value for a in node.args if isinstance(a, ast.Constant)} & SHARED_FLAGS
+            seen |= flags
+            defaults = [kw.value for kw in node.keywords if kw.arg == "default"]
+            if flags and any(
+                isinstance(c, ast.Constant) and type(c.value) in (int, float)
+                for d in defaults for c in ast.walk(d)
+            ):
+                found.append((path.name, node.lineno, *sorted(flags)))
+    assert seen == SHARED_FLAGS
+    assert found == [], f"shared flags with a numeric default: {found}"
+
+
 def test_all_lists_exactly_the_public_names():
     # A name deleted from a module but left in __all__ breaks
     # `from groverian import *`; a public name missing from __all__ is
