@@ -51,6 +51,7 @@ no converged start would have climbed past the best afterwards (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,11 @@ _RETIRE_MARGIN = 1e-9  # floor of the retirement margin max(1e-9, 1000 * tol)
 _EXTRAPOLATE_FROM = 20
 _STOP_WINDOW = 7  # squared overlaps kept per row: the leader stop reads three two-sweep gains
 _STOP_MIN_STARTS = 32  # smallest batch the leader stop may end early
+# Start draws kept for repeated configurations, and the largest one kept, in
+# factor entries: 32 draws of at most 64 KiB each.  That keeps the draw of
+# the default 32 starts at every register size the budget admits.
+_DRAW_CACHE_SIZE = 32
+_DRAW_CACHE_ELEMENTS = 2**12
 
 
 class MonotonicityError(RuntimeError):
@@ -138,7 +144,12 @@ class PmaxResult:
     the best, ran fewer, and starts still climbing at the stop never
     converged.  ``converged`` says whether the best start converged, which
     it has whenever the leader stop ended the solve; ``pmax`` then follows
-    the result policy of ``_batched_ascent``.  The best start is the lowest
+    the result policy of ``_batched_ascent``.  It means only that one plain
+    sweep of that start gained less than ``tol``, not that the start is
+    stationary: a converged start can still gain more than ``tol`` later.
+    In a 7-start solve of ``random_state(7, default_rng(2197545828))`` at
+    tol = 1e-8, with that seed as ``rng_seed``, start 5 converged at sweep
+    23 and then gained 1.8e-8 in all.  The best start is the lowest
     start index whose squared overlap is within ``tol`` of the largest, and
     ``pmax`` is that start's value, so rounding-level differences between
     starts that reached the same maximum never decide the winner.  Each
@@ -162,8 +173,8 @@ def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> Pmax
     sq, factors, conv_at, sweeps = _batched_ascent(
         psi.amplitudes, factors, cfg.max_sweeps, cfg.tol
     )
-    best = int(np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0])
-    fixed = _phase_fixed(factors[best])
+    best = int(np.argmax(sq >= sq.max() - cfg.tol))
+    fixed = _phase_fixed(factors[best]).tolist()
     optimizer = ProductState(tuple(SingleQubitState(c0, c1) for c0, c1 in fixed))
     return PmaxResult(
         pmax=float(sq[best]),
@@ -255,22 +266,46 @@ def ascent_history(
 # ----------------------------------------------------------------------------
 
 def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
-    """(n_starts, n, 2) start factors; row 0 is the best basis product state."""
+    """(n_starts, n, 2) start factors; row 0 is the best basis product state,
+    and rows 1.. are the random draw of :func:`_start_draw`."""
     n = psi.n_qubits
-    s = cfg.n_starts
-    factors = np.zeros((s, n, 2), dtype=np.complex128)
+    if cfg.restriction == "real_plane":
+        _real_amplitudes(psi)  # refuses a complex state, even with the basis start alone
+    factors = np.zeros((cfg.n_starts, n, 2), dtype=np.complex128)
     x = int(np.argmax(np.abs(psi.amplitudes) ** 2))
     for i in range(n):
         bit = (x >> (n - 1 - i)) & 1
         factors[0, i, bit] = 1.0
-    rng = np.random.default_rng(cfg.rng_seed)
-    if cfg.restriction == "real_plane":
-        _real_amplitudes(psi)  # refuses a complex state, even with the basis start alone
-        factors[1:] = _real_factors(rng.uniform(-_HALF_PI, _HALF_PI, size=(s - 1, n)))
-    else:
-        z = rng.normal(size=(s - 1, n, 2)) + 1j * rng.normal(size=(s - 1, n, 2))
-        factors[1:] = z / np.linalg.norm(z, axis=2, keepdims=True)
+    factors[1:] = _start_draw(n, cfg.n_starts, cfg.rng_seed, cfg.restriction)
     return factors
+
+
+def _start_draw(n: int, n_starts: int, rng_seed: int, restriction: str) -> np.ndarray:
+    """The (n_starts - 1, n, 2) random start factors, which depend on nothing
+    but these arguments.  Repeated solves of one configuration, such as a
+    family sweep or a Grover trace, share one read-only draw; a draw of more
+    than ``_DRAW_CACHE_ELEMENTS`` entries is drawn afresh and not kept."""
+    if (n_starts - 1) * n * 2 > _DRAW_CACHE_ELEMENTS:
+        return _draw(n, n_starts, rng_seed, restriction)
+    return _cached_draw(n, n_starts, rng_seed, restriction)
+
+
+def _draw(n: int, n_starts: int, rng_seed: int, restriction: str) -> np.ndarray:
+    """Haar-random unit factors, complex, or real-plane factors of angles
+    uniform on [-pi/2, pi/2], real, from one ``default_rng(rng_seed)``."""
+    rng = np.random.default_rng(rng_seed)
+    if restriction == "real_plane":
+        return _real_factors(rng.uniform(-_HALF_PI, _HALF_PI, size=(n_starts - 1, n)))
+    z = rng.normal(size=(n_starts - 1, n, 2)) + 1j * rng.normal(size=(n_starts - 1, n, 2))
+    return z / np.linalg.norm(z, axis=2, keepdims=True)
+
+
+@lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _cached_draw(n: int, n_starts: int, rng_seed: int, restriction: str) -> np.ndarray:
+    """:func:`_draw`, kept read-only, since every caller shares the array."""
+    draw = _draw(n, n_starts, rng_seed, restriction)
+    draw.flags.writeable = False
+    return draw
 
 
 def _phase_fixed(factors: np.ndarray) -> np.ndarray:
@@ -309,9 +344,11 @@ def _batched_ascent(
     the first sweep, about 2 * n_starts * 2**n complex elements, so a sweep
     allocates nothing of size 2**n.  Each qubit step is the fixed list of
     calls that :class:`_Workspace` describes, each writing into a view bound
-    once per working batch.  The arithmetic is that of the kernel in
-    :mod:`groverian.states` (the tests pin it bit for bit to a loop written
-    on that kernel).
+    once per working batch.  The starting overlaps are the steps' prefix
+    matmuls run once on the start factors, as :meth:`_Workspace.evaluate`
+    later runs them on each extrapolation trial.  The arithmetic is that of
+    the kernel in :mod:`groverian.states` (the tests pin it bit for bit to a
+    loop written on that kernel).
 
     Extrapolation.  From sweep ``_EXTRAPOLATE_FROM`` on, the plain sweep, its
     monotone check and the convergence test are followed by one
@@ -385,11 +422,9 @@ def _batched_ascent(
     retires, and so is always reported.
     """
     n_starts = factors.shape[0]
-    psi = amplitudes[np.newaxis]
     margin = max(_RETIRE_MARGIN, 1000.0 * tol)
-    # The starting overlaps come first, so their temporaries are freed
-    # before the workspace is allocated.
-    sq = np.abs(batch_overlap(psi, factors)) ** 2
+    ws = _Workspace(amplitudes[np.newaxis], factors)
+    sq = ws.evaluate()  # the starting overlaps, by the sweep's own prefix chain
     conv_at = np.full(n_starts, -1, dtype=int)
     # The working batch holds the starts still being swept; row i of it is
     # start rows[i].  Starts are written to the outputs when they retire, and
@@ -398,7 +433,6 @@ def _batched_ascent(
     rows = np.arange(n_starts)
     pending = n_starts  # working starts not yet converged
     recent = [sq]  # the working rows' squared overlaps after the last sweeps
-    ws = _Workspace(psi, factors)
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
         sweeps = sweep
@@ -417,14 +451,18 @@ def _batched_ascent(
             np.divide(v, norm, f_k, where=ok_col)
             np.conjugate(f_k, conj_k)
             np.matmul(conj_row, lead, prefix)
-        new_sq = np.abs(ws.overlap[:, 0, 0]) ** 2
-        if (new_sq < sq - _MONOTONE_SLACK).any():
+        new_sq = np.abs(ws.overlap) ** 2
+        gain = new_sq - sq
+        if gain.min() < -_MONOTONE_SLACK:
             raise MonotonicityError(
-                f"sweep {sweep}: squared overlap decreased by {float(np.max(sq - new_sq))!r}"
+                f"sweep {sweep}: squared overlap decreased by {float(-gain.min())!r}"
             )
-        newly = (np.abs(new_sq - sq) < tol) & (conv_at < 0)
-        conv_at[newly] = sweep
-        pending -= np.count_nonzero(newly)
+        newly = np.abs(gain, gain) < tol
+        newly &= conv_at < 0
+        count = np.count_nonzero(newly)  # cheaper than any() on a few rows
+        if count:
+            conv_at[newly] = sweep
+            pending -= count
         if extrapolate:
             f, trial, conj = ws.factors, ws.trial, ws.conjugates
             left, right, norm, norm_re = ws.trial_buffers
@@ -439,9 +477,7 @@ def _batched_ascent(
             # The sweep's own chain evaluates g from its conjugates, and the
             # conjugates of the factors kept are taken again afterwards.
             np.conjugate(trial, conj)
-            for _, _, _, conj_row, lead, prefix in ws.steps:
-                np.matmul(conj_row, lead, prefix)
-            trial_sq = np.abs(ws.overlap[:, 0, 0]) ** 2
+            trial_sq = ws.evaluate()
             better = trial_sq > new_sq
             np.copyto(f, trial, where=better[:, np.newaxis])
             np.conjugate(f, conj)
@@ -455,10 +491,12 @@ def _batched_ascent(
             break
         if pending == len(rows):
             continue  # no working start has converged, so none leads or retires
-        if _leader_stop(recent, conv_at, tol, n_starts):
+        top = sq.max()
+        if _leader_stop(recent, conv_at, tol, n_starts, top):
             break
-        retire = (conv_at >= 0) & (sq < sq.max() - margin)
-        if retire.any():
+        retire = sq < top - margin
+        retire &= conv_at >= 0
+        if np.count_nonzero(retire):
             gone = rows[retire]
             sq_out[gone], conv_out[gone] = sq[retire], conv_at[retire]
             factors_out[gone] = ws.factors[:, retire].swapaxes(0, 1)
@@ -473,16 +511,16 @@ def _batched_ascent(
 
 
 def _leader_stop(
-    recent: list[np.ndarray], conv_at: np.ndarray, tol: float, n_starts: int
+    recent: list[np.ndarray], conv_at: np.ndarray, tol: float, n_starts: int, top: float
 ) -> bool:
     """Whether a batch may stop before its slowest start converges.
 
     ``recent`` holds the working rows' squared overlaps after the last
     ``_STOP_WINDOW`` sweeps, oldest first (fewer early in a solve),
-    ``conv_at`` their convergence sweeps, -1 for a pending row, and
-    ``n_starts`` the starts the solve began with.  The leader is the
-    tie-rule pick, the lowest row within ``tol`` of the largest value.  The
-    batch may stop once all of these hold:
+    ``conv_at`` their convergence sweeps, -1 for a pending row, ``n_starts``
+    the starts the solve began with, and ``top`` the largest of the last
+    values.  The leader is the tie-rule pick, the lowest row within ``tol``
+    of ``top``.  The batch may stop once all of these hold:
 
     * it began with at least ``_STOP_MIN_STARTS`` starts: in a smaller one
       the best basin may hold one start that crawls along a plateau, with
@@ -502,26 +540,32 @@ def _leader_stop(
     the extrapolation step makes consecutive gains alternate, and r is the
     larger of two ratios because even two-sweep ratios are erratic in
     extrapolated tails.  The estimates run only once the leader has
-    converged, so a sweep before that pays only for finding the leader.
+    converged, and only on the leader and the pending rows, the only rows
+    the conditions read.
     """
     if n_starts < _STOP_MIN_STARTS or len(recent) < _STOP_WINDOW:
         return False
-    sq = recent[-1]
-    leader = int(np.argmax(sq >= sq.max() - tol))
+    leader = int(np.argmax(recent[-1] >= top - tol))
     if conv_at[leader] < 0:
         return False
-    now, before, earlier = sq - recent[-3], recent[-3] - recent[-5], recent[-5] - recent[-7]
-    ratio, older = np.full_like(now, np.inf), np.full_like(now, np.inf)
-    np.divide(now, before, out=ratio, where=before > 0.0)
-    np.divide(before, earlier, out=older, where=earlier > 0.0)
-    r = np.minimum(np.maximum(ratio, older), 1.0)
+    rows = conv_at < 0  # the pending rows and the leader
+    rows[leader] = True
+    lead = np.count_nonzero(rows[:leader])  # the leader's place among them
+    window = np.array(recent[-_STOP_WINDOW::2])[:, rows]  # sq_{t-6}, sq_{t-4}, sq_{t-2}, sq_t
+    gains = window[1:] - window[:-1]  # G_{t-4}, G_{t-2}, G_t
+    ratios = np.full_like(gains[1:], np.inf)
+    np.divide(gains[1:], gains[:-1], out=ratios, where=gains[:-1] > 0.0)
+    r = np.minimum(np.maximum(ratios[0], ratios[1]), 1.0)
+    now = gains[-1]
     climb = np.full_like(now, np.inf)
     np.divide(now * r, 1.0 - r, out=climb, where=r < 1.0)
     climb[now <= 0.0] = 0.0
-    if not climb[leader] < 0.5 * tol:
+    if not climb[lead] < 0.5 * tol:
         return False
-    pending = conv_at < 0
-    return not np.any(sq[pending] + climb[pending] - sq[leader] > tol)
+    # The leader's own term, fl(sq + climb) - sq, is at most twice its climb,
+    # below tol, so it never counts against the stop.
+    sq = window[-1]
+    return not (sq + climb - sq[lead] > tol).any()
 
 
 class _Workspace:
@@ -533,9 +577,11 @@ class _Workspace:
       factor k of the working batch is one contiguous (m, 2) block.  The
       conjugates are derived when a batch is bound and kept current by each
       step.
-    * Suffix products for k = 1..n, in one list of (S, 2**(n-k)) arrays
-      allocated as ones: row s is conj(f_k) x ... x conj(f_{n-1}), so the
-      last, for k = n, stays a column of ones.  There is none for k = 0.
+    * Suffix products for k = 1..n, in one list of (S, 2**(n-k)) arrays:
+      row s is conj(f_k) x ... x conj(f_{n-1}), so the last, for k = n, is
+      a column of ones.  The others are written at the start of each sweep,
+      before any step reads them, so they are allocated empty.  There is
+      none for k = 0.
     * Prefixes for k = 0..n-1, as (S, 1, 2**(n-k-1)) arrays: psi contracted
       with factors 0..k.  The last one is the overlap.
     * Step buffers: the (S, 2, 1) environment v, the (S, 2) scratch for
@@ -570,7 +616,8 @@ class _Workspace:
         self._psi = psi
         self._factors = np.ascontiguousarray(factors.swapaxes(0, 1))
         self._conj = np.empty_like(self._factors)
-        self._tails = [np.ones((n_starts, 2 ** (n - k)), dtype=c) for k in range(1, n + 1)]
+        self._tails = [np.empty((n_starts, 2 ** (n - k)), dtype=c) for k in range(1, n)]
+        self._tails.append(np.ones((n_starts, 1), dtype=c))
         self._prefixes = [np.empty((n_starts, 1, 2 ** (n - k - 1)), dtype=c) for k in range(n)]
         self._env = np.empty((n_starts, 2, 1), dtype=c)
         self._scratch = np.empty((n_starts, 2), dtype=c)
@@ -580,6 +627,13 @@ class _Workspace:
         self._trial = np.empty(2 * n * n_starts, dtype=c)
         self._trial_norm = np.zeros(n * n_starts, dtype=c)
         self.bind(n_starts)
+
+    def evaluate(self) -> np.ndarray:
+        """Squared overlaps of the working rows whose conjugates
+        ``conjugates`` holds, by the steps' prefix matmuls alone."""
+        for _, _, _, conj_row, lead, prefix in self.steps:
+            np.matmul(conj_row, lead, prefix)
+        return np.abs(self.overlap) ** 2
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep the working rows flagged in ``keep``, in order, and bind them."""
@@ -595,8 +649,8 @@ class _Workspace:
         for each qubit k, its factor and conjugate blocks, suffix product k+1
         as an (m, R, 1) column, and then the prefix chain's operands: the
         (m, 1, 2) conjugate row, the prefix it is contracted out of (psi for
-        k = 0) as (., 2, R) rows, and the prefix it writes, which for the
-        last qubit is ``overlap``.
+        k = 0) as (., 2, R) rows, and the prefix it writes; the last
+        qubit's, as (m,), is ``overlap``.
         ``buffers`` holds the step buffers and their views: the environment
         and its (m, 2) rows, the scratch and the real parts of its two
         columns, the norm column and its real part, the 0-d degeneracy
@@ -621,7 +675,7 @@ class _Workspace:
         ]
         columns = [t[:, :, np.newaxis] for t in tails]
         self.steps = list(zip(factors, conj, columns, conj[:, :, np.newaxis], leads, prefixes))
-        self.overlap = prefixes[-1]
+        self.overlap = prefixes[-1][:, 0, 0]
         self.trial = self._trial[: n * m * 2].reshape(n, m, 2)
         trial_norm = self._trial_norm[: n * m].reshape(n, m, 1)
         self.trial_buffers = (

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groverian import solver
 from groverian import (
@@ -126,6 +126,70 @@ class TestAlternating:
         psi = random_state(3, np.random.default_rng(5))
         with pytest.raises(ValueError, match="real amplitudes"):
             pmax_alternating(psi, SolverConfig(n_starts=1, restriction="real_plane"))
+
+
+class TestStartDraw:
+    # Rows 1.. of the start factors depend only on (n, n_starts, rng_seed,
+    # restriction), so repeated solves of one configuration share one
+    # cached, read-only draw.
+
+    @staticmethod
+    def _result_bytes(r):
+        return (
+            np.float64(r.pmax).tobytes(), r.optimizer.factor_matrix().tobytes(),
+            r.sweeps_used, r.converged, r.best_start,
+        )
+
+    @pytest.mark.parametrize("restriction", solver.RESTRICTIONS)
+    def test_a_hit_gives_the_bytes_of_a_miss(self, restriction):
+        psi = random_state(5, np.random.default_rng(31), real=restriction == "real_plane")
+        cfg = SolverConfig(rng_seed=31, restriction=restriction)
+        solver._cached_draw.cache_clear()
+        miss = pmax_alternating(psi, cfg)
+        hit = pmax_alternating(psi, cfg)
+        info = solver._cached_draw.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert self._result_bytes(hit) == self._result_bytes(miss)
+        fresh = solver._draw(5, cfg.n_starts, cfg.rng_seed, restriction)
+        assert solver._start_factors(psi, cfg)[1:].tobytes() == fresh.astype(complex).tobytes()
+
+    def test_cached_rows_are_read_only(self):
+        draw = solver._start_draw(4, 8, 2, "full_bloch")
+        assert draw is solver._start_draw(4, 8, 2, "full_bloch")
+        with pytest.raises(ValueError, match="read-only"):
+            draw[0, 0, 0] = 1.0
+
+    def test_a_solve_leaves_the_cached_draw_as_it_was(self):
+        psi = w(4)
+        cfg = SolverConfig(n_starts=8, rng_seed=4)
+        draw = solver._start_draw(4, 8, 4, "full_bloch")
+        before = draw.tobytes()
+        factors = solver._start_factors(psi, cfg)
+        assert not np.shares_memory(factors, draw)
+        solver._batched_ascent(psi.amplitudes, factors, 50, 1e-12)  # writes the factors
+        pmax_alternating(psi, cfg)
+        assert draw.tobytes() == before
+        assert solver._start_draw(4, 8, 4, "full_bloch") is draw
+
+    def test_real_plane_refuses_a_complex_state_on_a_hit(self):
+        cfg = SolverConfig(rng_seed=7, restriction="real_plane")
+        pmax_alternating(ghz(3), cfg)  # the draw for (3, 32, 7, real_plane) is now cached
+        before = solver._cached_draw.cache_info()
+        with pytest.raises(ValueError, match="real amplitudes"):
+            pmax_alternating(random_state(3, np.random.default_rng(7)), cfg)
+        after = solver._cached_draw.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)  # refused before the lookup
+
+    def test_a_draw_over_the_cap_is_not_kept(self):
+        n = 3
+        n_starts = solver._DRAW_CACHE_ELEMENTS // (2 * n) + 2
+        assert (n_starts - 1) * n * 2 > solver._DRAW_CACHE_ELEMENTS
+        solver._cached_draw.cache_clear()
+        factors = solver._start_factors(ghz(n), SolverConfig(n_starts=n_starts, rng_seed=3))
+        assert solver._cached_draw.cache_info().currsize == 0
+        assert factors[1:].tobytes() == solver._draw(n, n_starts, 3, "full_bloch").tobytes()
+        solver._start_factors(ghz(n), SolverConfig(n_starts=n_starts - 1, rng_seed=3))
+        assert solver._cached_draw.cache_info().currsize == 1  # the largest draw kept
 
 
 class TestReferenceStates:
@@ -250,7 +314,7 @@ class TestLeaderStop:
 
         def stop(leader, pending, conv_at=(5, -1), n_starts=32):
             recent = [now - [a, b] for a, b in zip(leader, pending)]
-            return solver._leader_stop(recent, np.array(conv_at), tol, n_starts)
+            return solver._leader_stop(recent, np.array(conv_at), tol, n_starts, recent[-1].max())
 
         leader = [13e-13, 9e-13, 5e-13, 3e-13, 1e-13, 1e-13, 0.0]
         pending = [14e-13, 10e-13, 6e-13, 4e-13, 2e-13, 1e-13, 0.0]
@@ -268,6 +332,74 @@ class TestLeaderStop:
         # The leader's own climb must stay below tol / 2: gains 4e-12, 2e-12,
         # 1e-12 leave 1e-12.
         assert not stop([7e-12, 5e-12, 3e-12, 2e-12, 1e-12, 5e-13, 0.0], pending, (5, 5))
+
+    # Each row: its last value, its six per-sweep gains (oldest first) and
+    # whether it is pending.  Zero and negative steps give zero and negative
+    # two-sweep gains, growing ones r >= 1, shrinking ones a finite climb.
+    STEPS = [0.0, -1e-13, -1e-14, 1e-14, 1e-13, 4e-13, 3e-12, 1e-9]
+    GEOMETRIC = st.builds(
+        lambda first, ratio: [first * ratio**t for t in range(6)],
+        st.sampled_from([0.0, -1e-14, 1e-14, 2e-13, 1e-12, 1e-11]),
+        st.sampled_from([0.25, 0.5, 0.9, 1.0, 2.0]),
+    )
+    ROW = st.tuples(
+        st.sampled_from([0.5, 0.5 - 3e-13, 0.5 - 1e-12, 0.5 - 2e-12, 0.3]),
+        st.one_of(GEOMETRIC, st.lists(st.sampled_from(STEPS), min_size=6, max_size=6)),
+        st.sampled_from([False, False, True]),
+    )
+
+    @given(
+        rows=st.lists(ROW, min_size=1, max_size=6),
+        window=st.sampled_from([6, 7, 7, 7]),
+        tol=st.sampled_from([1e-12, 1e-11, 1e-10]),
+        n_starts=st.sampled_from([31, 32, 32, 32]),
+    )
+    @example(  # no pending row: the leader's gains shrink by halves
+        rows=[(0.5, [8e-13, 8e-13, 4e-13, 4e-13, 2e-13, 2e-13], False)],
+        window=7, tol=1e-12, n_starts=32,
+    )
+    @example(  # one pending row, climbing by growing steps (r >= 1)
+        rows=[(0.5, [1e-14] * 6, False), (0.5 - 2e-12, [1e-13, 2e-13, 4e-13, 8e-13, 3e-12, 1e-11], True)],
+        window=7, tol=1e-12, n_starts=32,
+    )
+    @example(  # zero and negative gains on both rows
+        rows=[(0.5, [0.0] * 6, False), (0.5 - 3e-13, [-1e-13, 0.0, -1e-13, 0.0, 0.0, -1e-13], True)],
+        window=7, tol=1e-12, n_starts=32,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_match_the_whole_row_rule(self, rows, window, tol, n_starts):
+        # The rule estimates climbs on the leader and the pending rows alone;
+        # every decision must be that of the rule on whole rows.
+        last = np.array([base for base, _, _ in rows])
+        steps = np.array([gains for _, gains, _ in rows]).T  # (6, rows)
+        below = np.concatenate([np.cumsum(steps[::-1], axis=0)[::-1], np.zeros((1, len(rows)))])
+        recent = list(last - below)[7 - window:]
+        conv_at = np.array([-1 if pending else 3 for _, _, pending in rows])
+        want = _whole_row_leader_stop(recent, conv_at, tol, n_starts)
+        assert solver._leader_stop(recent, conv_at, tol, n_starts, recent[-1].max()) == want
+
+
+def _whole_row_leader_stop(recent, conv_at, tol, n_starts):
+    """The leader stop as written before it estimated climbs on the leader
+    and the pending rows only: every row's climb, then the two tests."""
+    if n_starts < solver._STOP_MIN_STARTS or len(recent) < solver._STOP_WINDOW:
+        return False
+    sq = recent[-1]
+    leader = int(np.argmax(sq >= sq.max() - tol))
+    if conv_at[leader] < 0:
+        return False
+    now, before, earlier = sq - recent[-3], recent[-3] - recent[-5], recent[-5] - recent[-7]
+    ratio, older = np.full_like(now, np.inf), np.full_like(now, np.inf)
+    np.divide(now, before, out=ratio, where=before > 0.0)
+    np.divide(before, earlier, out=older, where=earlier > 0.0)
+    r = np.minimum(np.maximum(ratio, older), 1.0)
+    climb = np.full_like(now, np.inf)
+    np.divide(now * r, 1.0 - r, out=climb, where=r < 1.0)
+    climb[now <= 0.0] = 0.0
+    if not climb[leader] < 0.5 * tol:
+        return False
+    pending = conv_at < 0
+    return not np.any(sq[pending] + climb[pending] - sq[leader] > tol)
 
 
 def _golden_states():
@@ -316,7 +448,7 @@ def _reference_ascent(amplitudes, factors, max_sweeps, tol, stop=True):
             new_sq[better] = trial_sq[better]
         sq = new_sq
         recent = (recent + [sq])[-solver._STOP_WINDOW:]
-        if np.all(conv_at >= 0) or stop and solver._leader_stop(recent, conv_at, tol, n_starts):
+        if np.all(conv_at >= 0) or stop and solver._leader_stop(recent, conv_at, tol, n_starts, sq.max()):
             break
     return sq, factors, conv_at, sweeps
 

@@ -163,3 +163,42 @@ def test_workspace_binds_one_layout():
     (bind,) = [n for n in workspace.body if isinstance(n, ast.FunctionDef) and n.name == "bind"]
     lines = [node.lineno for node in ast.walk(bind) if isinstance(node, (ast.If, ast.IfExp))]
     assert lines == [], f"solver.py: _Workspace.bind branches at lines {lines}"
+
+
+def _finite_maxsize(call: ast.Call, constants: dict) -> bool:
+    """Whether an lru_cache(...) call names a finite maxsize: none given (the
+    default, 128), an int, or a module-level name bound to an int."""
+    given = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    if not given:
+        return True
+    value = given[0]
+    if isinstance(value, ast.Name):
+        value = constants.get(value.id)
+    return isinstance(value, ast.Constant) and type(value.value) is int
+
+
+def test_caches_are_bounded():
+    # functools.cache and lru_cache(maxsize=None) keep every result for the
+    # life of the process; a cache under src/ must have a finite maxsize.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constants = {
+            target.id: node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [(path.name, node.lineno) for alias in node.names if alias.name == "cache"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cache" and ast.unparse(node.value) == "functools":
+                found.append((path.name, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).rpartition(".")[2] == "lru_cache"
+                and not _finite_maxsize(node, constants)
+            ):
+                found.append((path.name, node.lineno))
+    assert found == [], f"unbounded caches: {found}"
