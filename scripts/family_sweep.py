@@ -5,9 +5,6 @@ Sweeps the generalized-GHZ weight for 3 and 5 qubits, W states up to 8
 qubits, and all Dicke states up to 6 qubits; writes one CSV of
 (family, parameters, closed form, solver value, |difference|).
 
-Usage:
-    python scripts/family_sweep.py [--seeds N] [--rng-seed RNG_SEED] [--out family_sweep.csv]
-
 An invalid option, a value the solver refuses or a failed write prints
 `error: ...` on stderr and exits as `groverian` does (2, or 4 for I/O); the
 CSV is written after every solve, so a refused value writes nothing.
@@ -18,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from groverian import FAMILIES, SolverConfig, make_family, pmax_alternating
-from groverian.cli import STARTS, run
+from groverian import FAMILIES, make_family, pmax_alternating
+from groverian.cli import STARTS, run, solver_config
 
 
 def sweep_specs() -> list:
@@ -36,7 +33,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, parents=[STARTS])
     ap.add_argument("--out", default="family_sweep.csv")
     args = ap.parse_args()
-    cfg = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
+    cfg = solver_config(args)
 
     rows = [("family", "params", "closed_form", "solver", "abs_diff")]
     for name, params in sweep_specs():

@@ -5,10 +5,6 @@ Enumerates the points of the angle box where all four stationarity functions
 vanish, and records the termwise ("flawed") maximum, the true maximum, the
 hyperplane obstruction, and the rewrite-identity deviation.
 
-Usage:
-    python scripts/run_refutation.py [--resolution N] [--eps EPS]
-        [--identity-samples N] [--rng-seed RNG_SEED] [--out refutation_report.json]
-
 The options, their defaults and the report are those of `groverian refute`;
 an invalid value or a failed write prints `error: ...` on stderr and exits as
 `groverian` does (2, or 4 for I/O).
@@ -19,7 +15,7 @@ import sys
 from pathlib import Path
 
 from groverian import refutation_report
-from groverian.cli import REFUTE, run
+from groverian.cli import REFUTE, REPORT_PARAMS, flag_values, run
 
 
 def main() -> int:
@@ -27,12 +23,7 @@ def main() -> int:
     ap.add_argument("--out", default="refutation_report.json")
     args = ap.parse_args()
 
-    report = refutation_report(
-        grid_resolution=args.resolution,
-        eps=args.eps,
-        identity_samples=args.identity_samples,
-        rng_seed=args.rng_seed,
-    )
+    report = refutation_report(**flag_values(args, REPORT_PARAMS))
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"solutions found      : {len(report['solutions'])}")

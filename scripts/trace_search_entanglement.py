@@ -5,9 +5,6 @@ Writes one CSV per register size over twice the optimal iteration count
 (iteration, success probability, best product overlap, Groverian measure)
 and prints where the entanglement peaks.
 
-Usage:
-    python scripts/trace_search_entanglement.py [--seeds N] [--rng-seed RNG_SEED] [--out-dir .]
-
 An invalid option, a value the solver refuses or a failed write prints
 `error: ...` on stderr and exits as `groverian` does (2, or 4 for I/O);
 --out-dir is created after the first solve, just before the first write.
@@ -16,8 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from groverian import GroverConfig, SolverConfig, optimal_iterations, run_trace, trace_to_csv
-from groverian.cli import STARTS, run
+from groverian import GroverConfig, optimal_iterations, run_trace, trace_to_csv
+from groverian.cli import STARTS, run, solver_config
 
 CASES = [(3, 5), (5, 7)]  # (n_qubits, marked index)
 
@@ -26,7 +23,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, parents=[STARTS])
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()
-    solver = SolverConfig(n_starts=args.seeds, rng_seed=args.rng_seed)
+    solver = solver_config(args)
     out_dir = Path(args.out_dir)
 
     for n, marked in CASES:

@@ -16,6 +16,9 @@ States come from ``--family name:params`` (params positional or key=value,
 e.g. ``ghz:3``, ``gghz:3,a2=0.64``, ``dicke:n=4,k=2``) or from a JSON file
 ``--file path`` with schema {"n": int, "amplitudes": [[re, im], ...]}.
 
+Each flag that reaches the library has as its dest the parameter it sets, and
+:func:`flag_values` is the one place that passes parsed flags to the library.
+
 Exit codes: 0 success, 2 input/parse error, 3 normalization error,
 4 I/O error; :func:`run` maps library errors to them for the CLI and the
 experiment scripts.  All floating output uses 12 significant digits, and
@@ -49,25 +52,27 @@ EXIT_NORMALIZATION = 3
 EXIT_IO = 4
 
 _RESTRICTION_FLAG = {"full": "full_bloch", "real": "real_plane"}
-_REPORT = inspect.signature(refutation.refutation_report).parameters
+REPORT_PARAMS = inspect.signature(refutation.refutation_report).parameters
 
 # Flags shared with the scripts, declared once with the library's defaults.  Every
 # parser built on them shares their Action objects, so none may set_defaults their dests.
 STARTS = argparse.ArgumentParser(add_help=False)
-STARTS.add_argument("--seeds", type=int, default=SolverConfig.n_starts, metavar="N",
+STARTS.add_argument("--seeds", dest="n_starts", metavar="N", type=int, default=SolverConfig.n_starts,
                     help="number of solver starts (default %(default)s)")
 STARTS.add_argument("--rng-seed", type=int, default=SolverConfig.rng_seed,
                     help="seed of the solver's random starts (default %(default)s)")
 
 REFUTE = argparse.ArgumentParser(add_help=False)
-REFUTE.add_argument("--rng-seed", type=int, default=_REPORT["rng_seed"].default,
+REFUTE.add_argument("--rng-seed", type=int, default=REPORT_PARAMS["rng_seed"].default,
                     help="seed of the identity check's random triples (default %(default)s)")
-REFUTE.add_argument("--resolution", type=int, default=_REPORT["grid_resolution"].default,
+REFUTE.add_argument("--resolution", dest="grid_resolution", metavar="RESOLUTION", type=int,
+                    default=REPORT_PARAMS["grid_resolution"].default,
                     help="t3 grid points for the true maximum (default %(default)s)")
-REFUTE.add_argument("--eps", type=float, default=_REPORT["eps"].default,
+REFUTE.add_argument("--eps", type=float, default=REPORT_PARAMS["eps"].default,
                     help="report an all-zero-J point only if its max|J| is below this "
                          "(default %(default)s)")
-REFUTE.add_argument("--identity-samples", type=int, default=_REPORT["identity_samples"].default,
+REFUTE.add_argument("--identity-samples", type=int,
+                    default=REPORT_PARAMS["identity_samples"].default,
                     help="random triples for the rewrite identity check (default %(default)s)")
 
 
@@ -99,7 +104,7 @@ def run(work, *args) -> int:
 # ----------------------------------------------------------------------------
 
 def _cmd_pmax(args: argparse.Namespace) -> int:
-    solver = _solver_config(args)
+    solver = solver_config(args)
     result = pmax_alternating(_load_state(args), solver)
     payload = {
         "pmax": result.pmax,
@@ -116,7 +121,7 @@ def _cmd_pmax(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    solver = _solver_config(args)  # checked even without --verify
+    solver = solver_config(args)  # checked even without --verify
     name, params = _parse_family_spec(args.family)
     entry = FAMILIES[name]
     if "n" not in entry.closed_form_params:
@@ -138,23 +143,13 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_refute(args: argparse.Namespace) -> int:
-    report = refutation.refutation_report(
-        grid_resolution=args.resolution,
-        eps=args.eps,
-        identity_samples=args.identity_samples,
-        rng_seed=args.rng_seed,
-    )
-    _emit(report)
+    _emit(refutation.refutation_report(**flag_values(args, REPORT_PARAMS)))
     return EXIT_OK
 
 
 def _cmd_grover_trace(args: argparse.Namespace) -> int:
-    cfg = GroverConfig(
-        n_qubits=args.n,
-        marked_index=args.marked,
-        iterations=args.iterations,
-        solver=_solver_config(args),
-    )
+    cfg = GroverConfig(**flag_values(args, GroverConfig.__dataclass_fields__),
+                       solver=solver_config(args))
     rows = run_trace(cfg)
     Path(args.output).write_text(trace_to_csv(rows))
     last = rows[-1]
@@ -216,8 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grover-trace", parents=[solver],
                        help="run Grover search, tracing entanglement per iteration")
-    p.add_argument("--n", type=int, required=True, help="number of qubits")
-    p.add_argument("--marked", type=int, required=True, help="marked basis index")
+    p.add_argument("--n", dest="n_qubits", metavar="N", type=int, required=True,
+                   help="number of qubits")
+    p.add_argument("--marked", dest="marked_index", metavar="MARKED", type=int, required=True,
+                   help="marked basis index")
     p.add_argument("--iterations", type=int, default=None,
                    help="iteration count (default: optimal)")
     p.add_argument("--output", required=True, help="CSV output path")
@@ -225,14 +222,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        n_starts=args.seeds,
-        max_sweeps=args.max_sweeps,
-        tol=args.tol,
-        rng_seed=args.rng_seed,
-        restriction=_RESTRICTION_FLAG[args.restriction],
-    )
+def flag_values(args: argparse.Namespace, names) -> dict:
+    """The parsed value of each flag whose dest is one of ``names``, by dest."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def solver_config(args: argparse.Namespace) -> SolverConfig:
+    """The SolverConfig of the solver flags in ``args``, defaulting any not declared."""
+    values = flag_values(args, SolverConfig.__dataclass_fields__)
+    if "restriction" in values:
+        values["restriction"] = _RESTRICTION_FLAG[values["restriction"]]
+    return SolverConfig(**values)
 
 
 def _load_state(args: argparse.Namespace) -> PureState:
@@ -241,7 +241,7 @@ def _load_state(args: argparse.Namespace) -> PureState:
             raise ValueError("--normalize needs --file (family states are built normalized)")
         name, params = _parse_family_spec(args.family)
         return make_family(name, **params)
-    return load_state_json(args.file, normalize=args.normalize)
+    return load_state_json(args.file, args.normalize)
 
 
 def _parse_family_spec(spec: str) -> tuple[str, dict]:

@@ -251,13 +251,9 @@ def ascent_history(
     the monotone-ascent guarantee directly."""
     _check_same_size(psi, start)
     _check_budget(2**psi.n_qubits, "n_starts", f"1 start x 2**{psi.n_qubits} amplitudes")
-    factors = start.factor_matrix()[np.newaxis, :, :].copy()
-    history = [float(np.abs(batch_overlap(psi.amplitudes[np.newaxis], factors)[0]) ** 2)]
-
-    def record(sq: np.ndarray) -> None:
-        history.append(float(sq[0]))
-
-    _batched_ascent(psi.amplitudes, factors, max_sweeps, tol, on_sweep=record)
+    history = []
+    _batched_ascent(psi.amplitudes, start.factor_matrix()[np.newaxis], max_sweeps, tol,
+                    on_sweep=lambda sq: history.append(float(sq[0])))
     return np.asarray(history)
 
 
@@ -417,14 +413,15 @@ def _batched_ascent(
     because a fixed 1e-9 froze starts within ``tol`` of the best and
     changed the result at tol = 1e-8.
 
-    ``on_sweep`` receives the working batch's squared overlaps after the
-    sweep's extrapolation step; a single start is always the best, never
-    retires, and so is always reported.
+    ``on_sweep`` receives the starting squared overlaps, then the working
+    batch's after each sweep's extrapolation; a single start never retires.
     """
     n_starts = factors.shape[0]
     margin = max(_RETIRE_MARGIN, 1000.0 * tol)
     ws = _Workspace(amplitudes[np.newaxis], factors)
     sq = ws.evaluate()  # the starting overlaps, by the sweep's own prefix chain
+    if on_sweep is not None:
+        on_sweep(sq)
     conv_at = np.full(n_starts, -1, dtype=int)
     # The working batch holds the starts still being swept; row i of it is
     # start rows[i].  Starts are written to the outputs when they retire, and

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from groverian import SolverConfig, ghz, pmax_w, random_state, refutation_report, save_state_json
-from groverian.cli import _build_parser, _solver_config, main
+from groverian.cli import _build_parser, flag_values, main, solver_config
 
 import numpy as np
 
@@ -378,19 +378,14 @@ class TestFlagSurface:
     def test_solver_flag_defaults_are_the_library_defaults(self):
         # The solver flags read their defaults from SolverConfig.
         args = _build_parser().parse_args(["pmax", "--family", "ghz:3"])
-        assert _solver_config(args) == SolverConfig()
+        assert solver_config(args) == SolverConfig()
 
     def test_refute_flag_defaults_are_the_library_defaults(self):
-        # The refute flags read their defaults from refutation_report.
+        # The refute flags read their defaults from refutation_report, and
+        # flag_values hands every one of its parameters over.
         args = _build_parser().parse_args(["refute"])
-        parsed = {
-            "grid_resolution": args.resolution,
-            "eps": args.eps,
-            "identity_samples": args.identity_samples,
-            "rng_seed": args.rng_seed,
-        }
         params = inspect.signature(refutation_report).parameters
-        assert parsed == {name: p.default for name, p in params.items()}
+        assert flag_values(args, params) == {name: p.default for name, p in params.items()}
 
 
 class TestDeterminismAndRoundTrip:

@@ -673,7 +673,7 @@ class TestSweepWorkspace:
             solver._batched_ascent(psi.amplitudes, factors, sweeps, 1e-12, on_sweep=measure)
         finally:
             tracemalloc.stop()
-        assert len(transients) == sweeps
+        assert len(transients) == sweeps + 1  # the starting overlaps, then each sweep
         assert max(transients[1:]) < 2**20  # the first one includes the workspace
 
     def test_solve_peak_is_the_workspace(self):

@@ -1,6 +1,8 @@
 """Static checks over the package source."""
 
 import ast
+import dataclasses
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import groverian
+from groverian import GroverConfig, SolverConfig, cli, refutation_report
 from groverian.states import FAMILIES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,6 +80,8 @@ def test_family_names_only_in_the_registry(path):
     assert lines == [], f"{path.name}: family names outside the registry at lines {lines}"
 
 
+CLI_AND_SCRIPTS = [PACKAGE / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+
 SHARED_FLAGS = {
     "--seeds", "--tol", "--max-sweeps", "--rng-seed", "--resolution", "--eps", "--identity-samples",
 }
@@ -86,7 +91,7 @@ def test_shared_flag_defaults_come_from_the_library():
     # SolverConfig and refutation_report own these defaults; a number in a
     # flag's default= is a second copy that can drift from them.
     seen, found = set(), []
-    for path in [PACKAGE / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]:
+    for path in CLI_AND_SCRIPTS:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"):
                 continue
@@ -100,6 +105,35 @@ def test_shared_flag_defaults_come_from_the_library():
                 found.append((path.name, node.lineno, *sorted(flags)))
     assert seen == SHARED_FLAGS
     assert found == [], f"shared flags with a numeric default: {found}"
+
+
+def test_library_flags_are_named_after_their_parameters():
+    # cli.flag_values passes a flag to the parameter its dest names, so a
+    # flag whose dest names no parameter would be dropped without a word.
+    # The grover-trace parser holds the solver parent's actions.
+    library = (
+        {f.name for f in dataclasses.fields(SolverConfig)}
+        | set(inspect.signature(refutation_report).parameters)
+        | {f.name for f in dataclasses.fields(GroverConfig)}
+    )
+    subparsers = next(a for a in cli._build_parser()._actions if a.choices)
+    parsers = (cli.STARTS, cli.REFUTE, subparsers.choices["grover-trace"])
+    dests = {a.dest for p in parsers for a in p._actions} - {"help", "output"}
+    assert dests - library == set()
+
+
+def test_flags_reach_the_library_only_through_flag_values():
+    # A keyword argument read from args is a second, hand-written mapping of
+    # a flag to a parameter, which can drift from the dest that names it.
+    found = []
+    for path in CLI_AND_SCRIPTS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.keyword) and any(
+                isinstance(a, ast.Attribute) and ast.unparse(a.value) == "args"
+                for a in ast.walk(node.value)
+            ):
+                found.append((path.name, node.value.lineno, ast.unparse(node)))
+    assert found == [], f"keyword arguments read from args: {found}"
 
 
 def test_all_lists_exactly_the_public_names():
