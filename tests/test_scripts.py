@@ -145,9 +145,8 @@ SCRIPT_OPTIONS = {
 
 def test_script_options_are_pinned(tmp_path):
     # The shared flags come from groverian.cli's parent parsers, so read each
-    # script's flags from the usage line of the parser it builds.
-    # A usage line copied into a docstring drifts from argparse's, so help
-    # prints argparse's alone.
+    # script's flags from the usage line of the parser it builds.  That line
+    # is the only one: a copy in the docstring drifts from it.
     options = {}
     for path in sorted((ROOT / "scripts").glob("*.py")):
         help_text = run_script(path.name, "--help", cwd=tmp_path).stdout
