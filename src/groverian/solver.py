@@ -47,6 +47,15 @@ the best never falls, and a retired start never enters the stop rule, so the
 result is bit-identical to sweeping every start until the stop, as long as
 no converged start would have climbed past the best afterwards (see
 ``_batched_ascent``).
+
+Every solve also has an upper bound, computed once before the first sweep:
+the largest squared Schmidt coefficient across qubit 0's cut, raised by a
+rounding margin (``_qubit0_bound``).  P_max never exceeds it, and for GHZ,
+GGHZ and product states it is P_max.  So once the leader has converged and
+its own value is at least that bound less ``tol``, no start can end more
+than ``tol`` above it and the solve stops, at any number of starts: on the
+benchmark's symmetric-small states GHZ-type, Dicke(n, 0) and Dicke(n, n)
+solves end after sweep 1.
 """
 from __future__ import annotations
 
@@ -108,7 +117,12 @@ class SolverConfig:
     the sweep's extrapolation step, below which a start counts as converged.
     ``restriction`` picks the start distribution: Haar-random factors
     (``full_bloch``) or real-plane angles uniform on [-pi/2, pi/2]
-    (``real_plane``, real-amplitude states only).
+    (``real_plane``, real-amplitude states only).  Real-plane starts stay
+    real, so ``real_plane`` maximizes over real product states alone.  A
+    real state's closest product state can be complex, so for a real psi
+    that value is a lower bound on P_max: state #96 of 100 real n = 4 states
+    drawn by ``random_state(n, default_rng(11), real=True)`` after 100 at
+    n = 3 has P_max 0.410762 but real-plane value 0.333135.
     """
 
     n_starts: int = 32
@@ -140,10 +154,11 @@ class PmaxResult:
     overlap by less than ``tol``.  ``sweeps_used`` is the number of sweeps
     run, an extrapolating sweep counting as one: until every start
     converged, the leader stop of ``_batched_ascent`` held (batches of at
-    least 32 starts), or ``max_sweeps``.  Starts retired early, far below
-    the best, ran fewer, and starts still climbing at the stop never
-    converged.  ``converged`` says whether the best start converged, which
-    it has whenever the leader stop ended the solve; ``pmax`` then follows
+    least 32 starts), its certified stop held (the converged leader reached
+    qubit 0's Schmidt bound less ``tol``), or ``max_sweeps``.  Starts
+    retired early, far below the best, ran fewer, and starts still climbing
+    at the stop never converged.  ``converged`` says whether the best start converged, which
+    it has whenever either stop ended the solve; ``pmax`` then follows
     the result policy of ``_batched_ascent``.  It means only that one plain
     sweep of that start gained less than ``tol``, not that the start is
     stationary: a converged start can still gain more than ``tol`` later.
@@ -171,7 +186,7 @@ def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> Pmax
     _check_budget(cfg.n_starts * 2**n, "n_starts", f"{cfg.n_starts} starts x 2**{n} amplitudes")
     factors = _start_factors(psi, cfg)
     sq, factors, conv_at, sweeps = _batched_ascent(
-        psi.amplitudes, factors, cfg.max_sweeps, cfg.tol
+        psi.amplitudes, factors, cfg.max_sweeps, cfg.tol, bound=_qubit0_bound(psi.amplitudes)
     )
     best = int(np.argmax(sq >= sq.max() - cfg.tol))
     fixed = _phase_fixed(factors[best]).tolist()
@@ -324,9 +339,11 @@ def _batched_ascent(
     max_sweeps: int,
     tol: float,
     on_sweep=None,
+    bound: float = np.inf,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sweep all starts until the leader stop holds or every start has
-    converged, a start converging once its per-sweep gain falls below tol.
+    """Sweep all starts until the leader stop or the certified stop holds or
+    every start has converged, a start converging once its per-sweep gain
+    falls below tol.
 
     Returns (squared overlaps, factors, sweep index of convergence per start
     (-1 if never), sweeps executed); the factors are written back into
@@ -361,7 +378,40 @@ def _batched_ascent(
     converged, :func:`_leader_stop` decides whether the solve may end before
     its slowest start converges; its docstring gives the conditions and why
     each is there.  A batch of fewer than ``_STOP_MIN_STARTS`` starts never
-    stops early.
+    stops early this way.
+
+    Certified stop.  ``bound`` is an upper bound on every start's squared
+    overlap; :func:`pmax_alternating` passes :func:`_qubit0_bound`, and
+    ``ascent_history`` passes none.  After each sweep in which the leader,
+    the tie-rule pick, has converged, the solve stops if the leader's own
+    value is at least ``bound - tol``, at any number of starts: no start
+    can then end more than ``tol`` above the leader, and the tie rule keeps
+    it, so the result is that of sweeping on as long as no start below the
+    leader by more than ``tol`` climbs back to within ``tol`` of it, which
+    held on every solve measured.  The test reads the leader's value, not
+    the largest: a row a rounding step above the leader may reach the bound
+    while the leader does not.  The bound carries a margin so that rounding
+    can only delay the stop.  Its three sums each add 2N real products,
+    N = 2**(n-1), so in whatever order BLAS takes them each part of a
+    computed sum is within gamma_2N = 2Nu / (1 - 2Nu) of the sum of its
+    products' moduli (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1), u = 2**-53, eps = 2u.  That puts the
+    computed 2 x 2 matrix within sqrt(2) gamma_2N (p + q) of the exact one in
+    Frobenius norm, with p + q its trace; by Weyl's inequality its top
+    eigenvalue, at least (p + q) / 2, moves by at most 2 sqrt(2) gamma_2N, about
+    2.83 N eps, of itself.  The closed form's nine roundings lose at most
+    4.5u, and the multiply by the margin and the subtraction of ``tol`` u
+    each.  So the factor 1 + (3N + 8) eps, exact in binary, leaves
+    ``bound - tol`` as computed above the exact bound less ``tol``, at
+    every size the budget admits; products that underflow lose under
+    2**-1051 in all.  At tol = 1e-17 no solve measured stopped this way: the
+    margin, at least 11 eps of a bound of at least 1/2, exceeds tol, so a
+    leader would have to round that far above the maximum.  On 1061
+    solves (the benchmark's symmetric-small states, GHZ at n = 2-10, random
+    states at n = 3-6, the 15 reference states; tol 1e-12, 1e-8 and 1e-17;
+    1, 7 and 32 starts) ``pmax``, the optimizer bytes, ``best_start`` and
+    ``converged`` equal the solve without this stop, and ``sweeps_used``
+    fell on 300, none of them at tol 1e-17 or on a random state.
 
     Result policy.  The step and the stop change results at rounding level,
     so results are not bit-equal to the loop without them, and the best
@@ -418,6 +468,7 @@ def _batched_ascent(
     """
     n_starts = factors.shape[0]
     margin = max(_RETIRE_MARGIN, 1000.0 * tol)
+    certain = bound - tol  # a leader this high is within tol of every start's maximum
     ws = _Workspace(amplitudes[np.newaxis], factors)
     sq = ws.evaluate()  # the starting overlaps, by the sweep's own prefix chain
     if on_sweep is not None:
@@ -489,6 +540,10 @@ def _batched_ascent(
         if pending == len(rows):
             continue  # no working start has converged, so none leads or retires
         top = sq.max()
+        if top >= certain:  # else the leader, within tol of top, is below it too
+            leader = int(np.argmax(sq >= top - tol))
+            if conv_at[leader] >= 0 and sq[leader] >= certain:
+                break
         if _leader_stop(recent, conv_at, tol, n_starts, top):
             break
         retire = sq < top - margin
@@ -505,6 +560,27 @@ def _batched_ascent(
     sq_out[rows], conv_out[rows] = sq, conv_at
     factors_out[rows] = ws.factors.swapaxes(0, 1)
     return sq_out, factors_out, conv_out, sweeps
+
+
+def _qubit0_bound(amplitudes: np.ndarray) -> float:
+    """An upper bound on P_max of the state with these 2**n amplitudes: the
+    top eigenvalue of qubit 0's reduced density matrix, the largest squared
+    Schmidt coefficient across that cut (Wei & Goldbart, PRA 68, 042307,
+    2003), times 1 + (3N + 8) eps, the rounding margin that
+    :func:`_batched_ascent` derives.
+
+    With a and b the halves of psi where qubit 0 is 0 and 1, the matrix is
+    [[p, c], [conj(c), q]] with p = <a|a>, q = <b|b> and c = <a|b>, and its
+    top eigenvalue is (p + q) / 2 + sqrt(((p - q) / 2)**2 + |c|**2): three
+    dot products of N = 2**(n-1) entries and a closed form, no SVD, 3-4 us
+    at n = 3-10.  It is at least (p + q) / 2, so at least 1/2 for a unit psi.
+    """
+    half = len(amplitudes) // 2
+    a, b = amplitudes[:half], amplitudes[half:]
+    p, q = float(np.vdot(a, a).real), float(np.vdot(b, b).real)
+    c = complex(np.vdot(a, b))
+    top = 0.5 * (p + q) + (0.25 * (p - q) ** 2 + c.real**2 + c.imag**2) ** 0.5
+    return top * (1.0 + (3 * half + 8) * 2.0**-52)
 
 
 def _leader_stop(

@@ -116,6 +116,19 @@ class TestAlternating:
         r = pmax_alternating(ghz(3), SolverConfig(restriction="real_plane"))
         assert abs(r.pmax - 0.5) < 1e-9
 
+    def test_real_plane_is_a_lower_bound_on_real_states(self):
+        # The real-plane restriction maximizes over real product states, and a
+        # real state's closest product state can be complex.  From 100 real
+        # states each at n = 3, 4, 5, 6 of one default_rng(11): state #83 at
+        # n = 3 and state #96 at n = 4, the largest gap of the 400.
+        rng = np.random.default_rng(11)
+        states = {n: [random_state(n, rng, real=True) for _ in range(100)] for n in (3, 4, 5, 6)}
+        for psi, full, real in ((states[3][83], 0.545196, 0.542979), (states[4][96], 0.410762, 0.333135)):
+            r_full = pmax_alternating(psi).pmax
+            r_real = pmax_alternating(psi, SolverConfig(restriction="real_plane")).pmax
+            assert (round(r_full, 6), round(r_real, 6)) == (full, real)
+        assert 7.7e-2 < r_full - r_real < 7.8e-2
+
     def test_real_plane_rejects_complex_states(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="real"):
@@ -379,6 +392,87 @@ class TestLeaderStop:
         assert solver._leader_stop(recent, conv_at, tol, n_starts, recent[-1].max()) == want
 
 
+class TestCertifiedStop:
+    # A solve also stops once its converged leader reaches qubit 0's Schmidt
+    # bound less tol, raised by a rounding margin; results keep their bytes
+    # and only sweeps_used falls.
+
+    @staticmethod
+    def _result_bytes(r):
+        return (
+            np.float64(r.pmax).tobytes(), r.optimizer.factor_matrix().tobytes(),
+            r.best_start, r.converged, r.sweeps_used,
+        )
+
+    @staticmethod
+    def _without_the_stop(monkeypatch, psi, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_qubit0_bound", lambda amplitudes: np.inf)
+            return pmax_alternating(psi, cfg)
+
+    def test_bound_is_the_top_schmidt_value_and_above_pmax(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(27)
+        for i in range(240):
+            n = 1 + i % 12
+            psi = random_state(n, rng, real=i % 24 >= 12)
+            exact = np.linalg.svd(psi.amplitudes.reshape(2, -1), compute_uv=False)[0] ** 2
+            bound = solver._qubit0_bound(psi.amplitudes)
+            margin = 3 * 2 ** (n - 1) + 8
+            assert exact * (1 - 4 * eps) <= bound <= exact * (1 + (margin + 4) * eps)
+            assert pmax_alternating(psi, SolverConfig(n_starts=4)).pmax <= bound
+
+    CERTIFIED = (
+        [ghz(n) for n in range(2, 11)]
+        + [gghz(3, a=math.sqrt(0.3)), gghz(5, a=math.sqrt(0.65)), gghz(5, a=math.sqrt(0.05))]
+        + [dicke(n, 0) for n in (2, 4, 6)]
+        + [basis_state(5, 9), w(2)]
+    )
+
+    @pytest.mark.parametrize("n_starts", [7, 32])
+    def test_certified_states_stop_after_one_sweep(self, monkeypatch, n_starts):
+        cfg = SolverConfig(n_starts=n_starts)
+        for psi in self.CERTIFIED:
+            r = pmax_alternating(psi, cfg)
+            plain = self._without_the_stop(monkeypatch, psi, cfg)
+            assert r.sweeps_used == 1 < plain.sweeps_used
+            assert self._result_bytes(r)[:4] == self._result_bytes(plain)[:4]
+
+    @pytest.mark.parametrize("n_starts", [1, 7, 32])
+    def test_nothing_changes_at_tol_1e_17(self, monkeypatch, n_starts):
+        # The margin keeps the bound less tol above every start's value, even
+        # one rounded up past the exact maximum, such as GHZ3's 0.5000000000000001.
+        cfg = SolverConfig(n_starts=n_starts, tol=1e-17)
+        for psi in self.CERTIFIED + [w(3), dicke(4, 2)]:
+            r = pmax_alternating(psi, cfg)
+            assert self._result_bytes(r) == self._result_bytes(self._without_the_stop(monkeypatch, psi, cfg))
+
+    def test_the_rule_reads_the_leader_not_top(self):
+        # sqrt(0.5 + d)|000> + sqrt(0.5 - d)|111>: row 0 starts on |111> and
+        # row 1 on |000>, local maxima at 0.5 - d and 0.5 + d, so both
+        # converge at sweep 1, while row 2 climbs on.  At tol = 3d the leader
+        # is row 0.  A bound of 0.5 + 3d puts top above bound - tol, 0.5, and the
+        # leader below it, so the solve must go on; at 0.5 + 1.5d it stops.
+        d = 1e-3
+        psi = np.zeros(8)
+        psi[0], psi[7] = math.sqrt(0.5 + d), math.sqrt(0.5 - d)
+        starts = np.zeros((3, 3, 2), dtype=complex)
+        starts[0, :, 1] = starts[1, :, 0] = 1.0
+        starts[2] = [[math.cos(t), math.sin(t)] for t in (0.3, 0.7, 1.1)]
+        for bound, stops in ((0.5 + 3 * d, False), (0.5 + 1.5 * d, True)):
+            sq, _, conv_at, sweeps = solver._batched_ascent(psi, starts.copy(), 500, 3 * d, bound=bound)
+            assert (sweeps == 1) == stops
+            assert list(conv_at[:2]) == [1, 1] and abs(sq[1] - sq[0] - 2 * d) < 1e-12
+
+    def test_ascent_history_keeps_its_length(self):
+        # A single start ends when it converges, and the history passes no bound.
+        rng = np.random.default_rng(3)
+        start = ProductState(tuple(SingleQubitState(*random_state(1, rng).amplitudes) for _ in range(3)))
+        history = ascent_history(ghz(3), start)
+        assert len(history) == 6
+        assert abs(history[-1] - 0.5) <= 1e-15
+
+
 def _whole_row_leader_stop(recent, conv_at, tol, n_starts):
     """The leader stop as written before it estimated climbs on the leader
     and the pending rows only: every row's climb, then the two tests."""
@@ -407,12 +501,13 @@ def _golden_states():
     return {n: random_state(n, rng) for n in (8, 9, 10)}
 
 
-def _reference_ascent(amplitudes, factors, max_sweeps, tol, stop=True):
+def _reference_ascent(amplitudes, factors, max_sweeps, tol, stop=True, bound=np.inf):
     """The batched ascent without start retirement: every start is swept
-    until the solver's leader stop holds or every start has converged; with
-    ``stop=False``, until the slowest one converges.  From sweep
-    _EXTRAPOLATE_FROM on, each sweep ends with the extrapolation step,
-    evaluated by the kernel's batch_overlap."""
+    until the solver's leader stop holds, the converged leader reaches
+    ``bound`` less tol, or every start has converged; with ``stop=False``,
+    until the slowest one converges.  From sweep _EXTRAPOLATE_FROM on, each
+    sweep ends with the extrapolation step, evaluated by the kernel's
+    batch_overlap."""
     n_starts, n = factors.shape[0], factors.shape[1]
     psi = amplitudes[np.newaxis]
     sq = np.abs(batch_overlap(psi, factors)) ** 2
@@ -450,6 +545,9 @@ def _reference_ascent(amplitudes, factors, max_sweeps, tol, stop=True):
         recent = (recent + [sq])[-solver._STOP_WINDOW:]
         if np.all(conv_at >= 0) or stop and solver._leader_stop(recent, conv_at, tol, n_starts, sq.max()):
             break
+        leader = int(np.flatnonzero(sq >= np.max(sq) - tol)[0])
+        if stop and conv_at[leader] >= 0 and sq[leader] >= bound - tol:
+            break
     return sq, factors, conv_at, sweeps
 
 
@@ -463,7 +561,8 @@ def _full_batch_pmax(psi, cfg):
 
 def _assert_matches_reference(psi, cfg=SolverConfig()):
     sq, factors, conv_at, sweeps = _reference_ascent(
-        psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol
+        psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol,
+        bound=solver._qubit0_bound(psi.amplitudes),
     )
     best = int(np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0])
     r = pmax_alternating(psi, cfg)

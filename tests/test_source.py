@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -236,3 +238,58 @@ def test_caches_are_bounded():
             ):
                 found.append((path.name, node.lineno))
     assert found == [], f"unbounded caches: {found}"
+
+
+# What `import groverian` adds to a fresh interpreter that has imported numpy.
+# Each module costs setup time in every process that imports the package, so a
+# new one must be added here on purpose.
+IMPORTED_AFTER_NUMPY = {
+    "groverian", "groverian.analytic", "groverian.grover", "groverian.refutation",
+    "groverian.solver", "groverian.states",
+    "__future__", "copy", "dataclasses", "json", "json.decoder", "json.encoder", "json.scanner",
+    "_json",
+}
+
+
+def test_import_adds_only_the_pinned_modules():
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import groverian\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(out.stdout.split())
+    assert "groverian.solver" in added
+    assert added - IMPORTED_AFTER_NUMPY == set()
+
+
+def _import_time_nodes(tree: ast.Module):
+    """The nodes a module evaluates when it is imported: its top-level
+    statements and class bodies, and the decorators and default values of its
+    functions, but not their bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += node.decorator_list + node.args.defaults + [d for d in node.args.kw_defaults if d]
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        yield node
+        stack += list(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_work_at_import(path):
+    # A numpy call at module level runs in every process that imports the
+    # package; compute such values inside the function that needs them.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        (node.lineno, ast.unparse(node.func))
+        for node in _import_time_nodes(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[0] in ("np", "numpy")
+    ]
+    assert calls == [], f"{path.name}: numpy calls at import: {calls}"
