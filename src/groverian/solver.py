@@ -35,27 +35,27 @@ factor renormalized, and keeps it only where its squared overlap rises.  The
 trial is written over f_prev and evaluated by the sweep's own prefix chain.
 On Haar states at n = 8-10 it cut the sweeps to convergence about 2.3-fold.
 
-A batch of at least ``_STOP_MIN_STARTS`` starts does not wait for its
-slowest start.  It stops once its leader, the start the tie rule picks, has
-converged and no start still climbing is estimated to pass it by more than
-``tol`` (``_leader_stop``).  A smaller batch sweeps until every start has
-converged.  Until the solve ends, a start that converged early to a local
-maximum far below the best would keep costing sweeps, so it is retired: once
-it has converged and sits more than max(1e-9, 1000 * tol) below the current
-best it is frozen and leaves the batch.  Rows of the batch do not interact,
-the best never falls, and a retired start never enters the stop rule, so the
-result is bit-identical to sweeping every start until the stop, as long as
-no converged start would have climbed past the best afterwards (see
-``_batched_ascent``).
+Two early stops end a solve before its slowest start converges, and both
+live in ``_may_stop``.  A batch of at least ``_STOP_MIN_STARTS`` starts stops
+once its leader, the start the tie rule picks, has converged and no start
+still climbing is estimated to pass it by more than ``tol``; a smaller batch
+does not stop this way.  Until the solve ends, a start that converged early
+to a local maximum far below the best would keep costing sweeps, so it is
+retired: once it has converged and sits more than max(1e-9, 1000 * tol)
+below the current best it is frozen and leaves the batch.  Rows of the batch
+do not interact, the best never falls, and a retired start never enters the
+early stops, so the result is bit-identical to sweeping every start until
+the stop, as long as no converged start would have climbed past the best
+afterwards (see ``_batched_ascent``).
 
 Every solve also has an upper bound, computed once before the first sweep:
 the largest squared Schmidt coefficient across qubit 0's cut, raised by a
 rounding margin (``_qubit0_bound``).  P_max never exceeds it, and for GHZ,
 GGHZ and product states it is P_max.  So once the leader has converged and
 its own value is at least that bound less ``tol``, no start can end more
-than ``tol`` above it and the solve stops, at any number of starts: on the
-benchmark's symmetric-small states GHZ-type, Dicke(n, 0) and Dicke(n, n)
-solves end after sweep 1.
+than ``tol`` above it and the solve stops, at any number of starts (the
+second stop of ``_may_stop``): on the benchmark's symmetric-small states
+GHZ-type, Dicke(n, 0) and Dicke(n, n) solves end after sweep 1.
 """
 from __future__ import annotations
 
@@ -122,7 +122,11 @@ class SolverConfig:
     real state's closest product state can be complex, so for a real psi
     that value is a lower bound on P_max: state #96 of 100 real n = 4 states
     drawn by ``random_state(n, default_rng(11), real=True)`` after 100 at
-    n = 3 has P_max 0.410762 but real-plane value 0.333135.
+    n = 3 has P_max 0.410762 but real-plane value 0.333135.  Real
+    permutation-symmetric states lose too, since their closest product
+    state is symmetric but can be complex: of 20 real sums of Dicke states
+    at each n = 3..8, 1 to 7 had a real-plane value more than 1e-9 lower,
+    by up to 0.277 (one n = 8 state: 0.415869 against 0.139154).
     """
 
     n_starts: int = 32
@@ -153,12 +157,13 @@ class PmaxResult:
     every factor before that sweep's extrapolation step, raised its squared
     overlap by less than ``tol``.  ``sweeps_used`` is the number of sweeps
     run, an extrapolating sweep counting as one: until every start
-    converged, the leader stop of ``_batched_ascent`` held (batches of at
-    least 32 starts), its certified stop held (the converged leader reached
-    qubit 0's Schmidt bound less ``tol``), or ``max_sweeps``.  Starts
-    retired early, far below the best, ran fewer, and starts still climbing
-    at the stop never converged.  ``converged`` says whether the best start converged, which
-    it has whenever either stop ended the solve; ``pmax`` then follows
+    converged, one of the early stops of ``_may_stop`` held (the leader
+    stop, in batches of at least 32 starts, or the certified stop, once the
+    converged leader reached qubit 0's Schmidt bound less ``tol``), or
+    ``max_sweeps``.  Starts retired early, far below the best, ran fewer,
+    and starts still climbing at the stop never converged.  ``converged``
+    says whether the best start converged, which it has whenever an early
+    stop ended the solve; ``pmax`` then follows
     the result policy of ``_batched_ascent``.  It means only that one plain
     sweep of that start gained less than ``tol``, not that the start is
     stationary: a converged start can still gain more than ``tol`` later.
@@ -278,7 +283,11 @@ def ascent_history(
 
 def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
     """(n_starts, n, 2) start factors; row 0 is the best basis product state,
-    and rows 1.. are the random draw of :func:`_start_draw`."""
+    and rows 1.. are the random draw of :func:`_draw`, which depends on
+    nothing but n and ``cfg``'s starts, seed and restriction.  Repeated
+    solves of one configuration, such as a family sweep or a Grover trace,
+    share one read-only draw (:func:`_cached_draw`); a draw of more than
+    ``_DRAW_CACHE_ELEMENTS`` entries is drawn afresh and not kept."""
     n = psi.n_qubits
     if cfg.restriction == "real_plane":
         _real_amplitudes(psi)  # refuses a complex state, even with the basis start alone
@@ -287,18 +296,9 @@ def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
     for i in range(n):
         bit = (x >> (n - 1 - i)) & 1
         factors[0, i, bit] = 1.0
-    factors[1:] = _start_draw(n, cfg.n_starts, cfg.rng_seed, cfg.restriction)
+    draw = _draw if (cfg.n_starts - 1) * n * 2 > _DRAW_CACHE_ELEMENTS else _cached_draw
+    factors[1:] = draw(n, cfg.n_starts, cfg.rng_seed, cfg.restriction)
     return factors
-
-
-def _start_draw(n: int, n_starts: int, rng_seed: int, restriction: str) -> np.ndarray:
-    """The (n_starts - 1, n, 2) random start factors, which depend on nothing
-    but these arguments.  Repeated solves of one configuration, such as a
-    family sweep or a Grover trace, share one read-only draw; a draw of more
-    than ``_DRAW_CACHE_ELEMENTS`` entries is drawn afresh and not kept."""
-    if (n_starts - 1) * n * 2 > _DRAW_CACHE_ELEMENTS:
-        return _draw(n, n_starts, rng_seed, restriction)
-    return _cached_draw(n, n_starts, rng_seed, restriction)
 
 
 def _draw(n: int, n_starts: int, rng_seed: int, restriction: str) -> np.ndarray:
@@ -341,9 +341,8 @@ def _batched_ascent(
     on_sweep=None,
     bound: float = np.inf,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sweep all starts until the leader stop or the certified stop holds or
-    every start has converged, a start converging once its per-sweep gain
-    falls below tol.
+    """Sweep all starts until an early stop holds or every start has
+    converged, a start converging once its per-sweep gain falls below tol.
 
     Returns (squared overlaps, factors, sweep index of convergence per start
     (-1 if never), sweeps executed); the factors are written back into
@@ -374,44 +373,14 @@ def _batched_ascent(
     alone, before the step, so ``tol`` keeps its meaning: a row converges
     when one plain sweep raises it by less than ``tol``.
 
-    Leader stop.  After each sweep in which some working start has
-    converged, :func:`_leader_stop` decides whether the solve may end before
-    its slowest start converges; its docstring gives the conditions and why
-    each is there.  A batch of fewer than ``_STOP_MIN_STARTS`` starts never
-    stops early this way.
-
-    Certified stop.  ``bound`` is an upper bound on every start's squared
-    overlap; :func:`pmax_alternating` passes :func:`_qubit0_bound`, and
-    ``ascent_history`` passes none.  After each sweep in which the leader,
-    the tie-rule pick, has converged, the solve stops if the leader's own
-    value is at least ``bound - tol``, at any number of starts: no start
-    can then end more than ``tol`` above the leader, and the tie rule keeps
-    it, so the result is that of sweeping on as long as no start below the
-    leader by more than ``tol`` climbs back to within ``tol`` of it, which
-    held on every solve measured.  The test reads the leader's value, not
-    the largest: a row a rounding step above the leader may reach the bound
-    while the leader does not.  The bound carries a margin so that rounding
-    can only delay the stop.  Its three sums each add 2N real products,
-    N = 2**(n-1), so in whatever order BLAS takes them each part of a
-    computed sum is within gamma_2N = 2Nu / (1 - 2Nu) of the sum of its
-    products' moduli (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1), u = 2**-53, eps = 2u.  That puts the
-    computed 2 x 2 matrix within sqrt(2) gamma_2N (p + q) of the exact one in
-    Frobenius norm, with p + q its trace; by Weyl's inequality its top
-    eigenvalue, at least (p + q) / 2, moves by at most 2 sqrt(2) gamma_2N, about
-    2.83 N eps, of itself.  The closed form's nine roundings lose at most
-    4.5u, and the multiply by the margin and the subtraction of ``tol`` u
-    each.  So the factor 1 + (3N + 8) eps, exact in binary, leaves
-    ``bound - tol`` as computed above the exact bound less ``tol``, at
-    every size the budget admits; products that underflow lose under
-    2**-1051 in all.  At tol = 1e-17 no solve measured stopped this way: the
-    margin, at least 11 eps of a bound of at least 1/2, exceeds tol, so a
-    leader would have to round that far above the maximum.  On 1061
-    solves (the benchmark's symmetric-small states, GHZ at n = 2-10, random
-    states at n = 3-6, the 15 reference states; tol 1e-12, 1e-8 and 1e-17;
-    1, 7 and 32 starts) ``pmax``, the optimizer bytes, ``best_start`` and
-    ``converged`` equal the solve without this stop, and ``sweeps_used``
-    fell on 300, none of them at tol 1e-17 or on a random state.
+    Early stops.  After each sweep in which some working start has
+    converged, :func:`_may_stop` decides whether the solve may end before
+    its slowest start converges, by the leader stop or the certified stop;
+    its docstring gives the conditions and why each is there, and it is the
+    only place the loop leaves early.  ``bound`` is an upper bound on every
+    start's squared overlap, which the certified stop reads:
+    :func:`pmax_alternating` passes :func:`_qubit0_bound`, and
+    ``ascent_history`` passes none.
 
     Result policy.  The step and the stop change results at rounding level,
     so results are not bit-equal to the loop without them, and the best
@@ -433,7 +402,7 @@ def _batched_ascent(
     working batch retires: its value, convergence sweep and factors are
     frozen and it leaves the batch, which is compacted, with the recent
     squared overlaps, only when a start retires.  The loop still stops when
-    the leader stop holds, every start has converged or at ``max_sweeps``,
+    an early stop holds, every start has converged or at ``max_sweeps``,
     so the sweeps executed and the convergence sweeps are those of the
     non-retiring loop, which sweeps every start until the stop.  On the
     benchmark's 15 reference states it cuts the rows swept through the qubit
@@ -448,7 +417,7 @@ def _batched_ascent(
     slack (1e-12), so a start retired more than ``margin`` below it ends more
     than ``margin`` less that slack below the final best, which is more than
     ``tol``: the tie rule (the lowest start within ``tol`` of the best) never
-    picks a retired start.  Nor does the stop rule read one: a retired start
+    picks a retired start.  Nor do the early stops read one: a retired start
     is never the leader and, converged, is not pending.  The result could
     differ only if a retired start, swept on, would have climbed past the
     best after converging.  Measured with the extrapolation step at the
@@ -540,11 +509,7 @@ def _batched_ascent(
         if pending == len(rows):
             continue  # no working start has converged, so none leads or retires
         top = sq.max()
-        if top >= certain:  # else the leader, within tol of top, is below it too
-            leader = int(np.argmax(sq >= top - tol))
-            if conv_at[leader] >= 0 and sq[leader] >= certain:
-                break
-        if _leader_stop(recent, conv_at, tol, n_starts, top):
+        if _may_stop(recent, conv_at, tol, n_starts, top, certain):
             break
         retire = sq < top - margin
         retire &= conv_at >= 0
@@ -566,14 +531,37 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     """An upper bound on P_max of the state with these 2**n amplitudes: the
     top eigenvalue of qubit 0's reduced density matrix, the largest squared
     Schmidt coefficient across that cut (Wei & Goldbart, PRA 68, 042307,
-    2003), times 1 + (3N + 8) eps, the rounding margin that
-    :func:`_batched_ascent` derives.
+    2003), times 1 + (3N + 8) eps, a rounding margin.
 
     With a and b the halves of psi where qubit 0 is 0 and 1, the matrix is
     [[p, c], [conj(c), q]] with p = <a|a>, q = <b|b> and c = <a|b>, and its
     top eigenvalue is (p + q) / 2 + sqrt(((p - q) / 2)**2 + |c|**2): three
     dot products of N = 2**(n-1) entries and a closed form, no SVD, 3-4 us
     at n = 3-10.  It is at least (p + q) / 2, so at least 1/2 for a unit psi.
+
+    The margin makes rounding only delay the certified stop of
+    :func:`_may_stop`, which compares the leader with the bound less
+    ``tol``.  The three sums each add 2N real products, so in whatever order
+    BLAS takes them each part of a computed sum is within
+    gamma_2N = 2Nu / (1 - 2Nu) of the sum of its products' moduli (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
+    u = 2**-53, eps = 2u.  That puts the computed 2 x 2 matrix within
+    sqrt(2) gamma_2N (p + q) of the exact one in Frobenius norm, with p + q
+    its trace; by Weyl's inequality its top eigenvalue, at least
+    (p + q) / 2, moves by at most 2 sqrt(2) gamma_2N, about 2.83 N eps, of
+    itself.  The closed form's nine roundings lose at most 4.5u, and the
+    multiply by the margin and the subtraction of ``tol`` u each.  So the
+    factor 1 + (3N + 8) eps, exact in binary, leaves the bound less ``tol``
+    as computed above the exact bound less ``tol``, at every size the budget
+    admits; products that underflow lose under 2**-1051 in all.
+
+    The margin grows with N, which limits the stop's reach.  On a bound of
+    1/2 it exceeds the default tol of 1e-12 from n = 13 on, so no leader
+    can reach the bound less ``tol`` there: ``pmax_alternating(ghz(n))``
+    ends after 1 sweep at n = 11 and 12 but after 3 at n = 13 and 14.  At
+    tol = 1e-17 the margin, at least 11 eps of a bound of at least 1/2,
+    exceeds tol at every n, so a leader would have to round that far above
+    the maximum, and no solve measured stopped this way.
     """
     half = len(amplitudes) // 2
     a, b = amplitudes[:half], amplitudes[half:]
@@ -583,22 +571,41 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     return top * (1.0 + (3 * half + 8) * 2.0**-52)
 
 
-def _leader_stop(
-    recent: list[np.ndarray], conv_at: np.ndarray, tol: float, n_starts: int, top: float
+def _may_stop(
+    recent: list[np.ndarray], conv_at: np.ndarray, tol: float, n_starts: int,
+    top: float, certain: float,
 ) -> bool:
-    """Whether a batch may stop before its slowest start converges.
+    """Whether a solve may end before its slowest start converges: the one
+    implementation of the leader stop and the certified stop.
 
     ``recent`` holds the working rows' squared overlaps after the last
     ``_STOP_WINDOW`` sweeps, oldest first (fewer early in a solve),
     ``conv_at`` their convergence sweeps, -1 for a pending row, ``n_starts``
-    the starts the solve began with, and ``top`` the largest of the last
-    values.  The leader is the tie-rule pick, the lowest row within ``tol``
-    of ``top``.  The batch may stop once all of these hold:
+    the starts the solve began with, ``top`` the largest of the last values,
+    and ``certain`` an upper bound on every start's squared overlap less
+    ``tol`` (inf for none).  The leader is the tie-rule pick, the lowest row
+    within ``tol`` of ``top``.  Either stop needs the leader converged, so
+    that its value is the one returned.
 
-    * it began with at least ``_STOP_MIN_STARTS`` starts: in a smaller one
-      the best basin may hold one start that crawls along a plateau, with
-      shrinking gains, before it climbs past the leader;
-    * the leader has converged, so its value is the one returned;
+    Certified stop, at any number of starts: the leader's own value is at
+    least ``certain``.  No start can then end more than ``tol`` above the
+    leader, and the tie rule keeps it, so the result is that of sweeping on
+    as long as no start below the leader by more than ``tol`` climbs back to
+    within ``tol`` of it, which held on every solve measured.  The test reads
+    the leader's value, not ``top``: a row a rounding step above the leader
+    may reach the bound while the leader does not.  On 1061 solves (the
+    benchmark's symmetric-small states, GHZ at n = 2-10, random states at
+    n = 3-6, the 15 reference states; tol 1e-12, 1e-8 and 1e-17; 1, 7 and
+    32 starts) ``pmax``, the optimizer bytes, ``best_start`` and
+    ``converged`` equal the solve without this stop, and ``sweeps_used``
+    fell on 300, none of them at tol 1e-17 or on a random state.
+
+    Leader stop, once the batch can settle: it began with at least
+    ``_STOP_MIN_STARTS`` starts, since in a smaller one the best basin may
+    hold one start that crawls along a plateau, with shrinking gains, before
+    it climbs past the leader, and ``recent`` holds ``_STOP_WINDOW`` values.
+    Then the solve stops when both of these hold:
+
     * the leader's estimated remaining climb is below ``tol / 2``, so a
       converged leader in a slow linear tail is swept on;
     * no pending row's value plus its own estimated climb exceeds the
@@ -613,18 +620,20 @@ def _leader_stop(
     the extrapolation step makes consecutive gains alternate, and r is the
     larger of two ratios because even two-sweep ratios are erratic in
     extrapolated tails.  The estimates run only once the leader has
-    converged, and only on the leader and the pending rows, the only rows
-    the conditions read.
+    converged.
     """
-    if n_starts < _STOP_MIN_STARTS or len(recent) < _STOP_WINDOW:
+    settles = n_starts >= _STOP_MIN_STARTS and len(recent) >= _STOP_WINDOW
+    if not settles and top < certain:  # the leader, within tol of top, is below it too
         return False
-    leader = int(np.argmax(recent[-1] >= top - tol))
+    sq = recent[-1]
+    leader = int(np.argmax(sq >= top - tol))
     if conv_at[leader] < 0:
         return False
-    rows = conv_at < 0  # the pending rows and the leader
-    rows[leader] = True
-    lead = np.count_nonzero(rows[:leader])  # the leader's place among them
-    window = np.array(recent[-_STOP_WINDOW::2])[:, rows]  # sq_{t-6}, sq_{t-4}, sq_{t-2}, sq_t
+    if sq[leader] >= certain:
+        return True
+    if not settles:
+        return False
+    window = np.array(recent[-_STOP_WINDOW::2])  # sq_{t-6}, sq_{t-4}, sq_{t-2}, sq_t
     gains = window[1:] - window[:-1]  # G_{t-4}, G_{t-2}, G_t
     ratios = np.full_like(gains[1:], np.inf)
     np.divide(gains[1:], gains[:-1], out=ratios, where=gains[:-1] > 0.0)
@@ -633,12 +642,10 @@ def _leader_stop(
     climb = np.full_like(now, np.inf)
     np.divide(now * r, 1.0 - r, out=climb, where=r < 1.0)
     climb[now <= 0.0] = 0.0
-    if not climb[lead] < 0.5 * tol:
+    if not climb[leader] < 0.5 * tol:
         return False
-    # The leader's own term, fl(sq + climb) - sq, is at most twice its climb,
-    # below tol, so it never counts against the stop.
-    sq = window[-1]
-    return not (sq + climb - sq[lead] > tol).any()
+    pending = conv_at < 0
+    return not (sq[pending] + climb[pending] - sq[leader] > tol).any()
 
 
 class _Workspace:

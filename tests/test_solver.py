@@ -1,5 +1,6 @@
 """Multi-start alternating maximizer: examples, oracles, and properties."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -84,11 +85,7 @@ class TestAlternating:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         psi = random_state(3, rng)
-        a = pmax_alternating(psi)
-        b = pmax_alternating(psi)
-        assert a.pmax == b.pmax
-        assert a.best_start == b.best_start
-        np.testing.assert_array_equal(a.optimizer.factor_matrix(), b.optimizer.factor_matrix())
+        assert _result_bytes(pmax_alternating(psi)) == _result_bytes(pmax_alternating(psi))
 
     def test_seed_independence_of_the_maximum(self):
         psi = w(3)
@@ -129,6 +126,22 @@ class TestAlternating:
             assert (round(r_full, 6), round(r_real, 6)) == (full, real)
         assert 7.7e-2 < r_full - r_real < 7.8e-2
 
+    def test_real_plane_loses_pmax_on_real_symmetric_states(self):
+        # psi = the normalized sum of c[k] * dicke(n, k), c = rng.normal(size=n + 1),
+        # 20 draws each at n = 3..8 of one default_rng(12): draw 6 at n = 8
+        # and draw 19 at n = 3, where the 201-point grid agrees.  Their full
+        # optimizers are symmetric and complex.
+        rng = np.random.default_rng(12)
+        draws = {n: [rng.normal(size=n + 1) for _ in range(20)] for n in range(3, 9)}
+        for n, i, full, real in ((8, 6, 0.415869029, 0.139154288), (3, 19, 0.501271808, 0.404079011)):
+            psi = PureState.normalized(sum(c * dicke(n, k).amplitudes for k, c in enumerate(draws[n][i])))
+            r = pmax_alternating(psi)
+            r_real = pmax_alternating(psi, SolverConfig(restriction="real_plane")).pmax
+            factors = r.optimizer.factor_matrix()
+            assert (round(r.pmax, 9), round(r_real, 9)) == (full, real)
+            assert np.allclose(factors, factors[0]) and abs(factors[0, 1].imag) > 0.6
+        assert round(pmax_gridsearch(psi, 201), 6) == 0.404062
+
     def test_real_plane_rejects_complex_states(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="real"):
@@ -146,13 +159,6 @@ class TestStartDraw:
     # restriction), so repeated solves of one configuration share one
     # cached, read-only draw.
 
-    @staticmethod
-    def _result_bytes(r):
-        return (
-            np.float64(r.pmax).tobytes(), r.optimizer.factor_matrix().tobytes(),
-            r.sweeps_used, r.converged, r.best_start,
-        )
-
     @pytest.mark.parametrize("restriction", solver.RESTRICTIONS)
     def test_a_hit_gives_the_bytes_of_a_miss(self, restriction):
         psi = random_state(5, np.random.default_rng(31), real=restriction == "real_plane")
@@ -162,27 +168,27 @@ class TestStartDraw:
         hit = pmax_alternating(psi, cfg)
         info = solver._cached_draw.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        assert self._result_bytes(hit) == self._result_bytes(miss)
+        assert _result_bytes(hit) == _result_bytes(miss)
         fresh = solver._draw(5, cfg.n_starts, cfg.rng_seed, restriction)
         assert solver._start_factors(psi, cfg)[1:].tobytes() == fresh.astype(complex).tobytes()
 
     def test_cached_rows_are_read_only(self):
-        draw = solver._start_draw(4, 8, 2, "full_bloch")
-        assert draw is solver._start_draw(4, 8, 2, "full_bloch")
+        draw = solver._cached_draw(4, 8, 2, "full_bloch")
+        assert draw is solver._cached_draw(4, 8, 2, "full_bloch")
         with pytest.raises(ValueError, match="read-only"):
             draw[0, 0, 0] = 1.0
 
     def test_a_solve_leaves_the_cached_draw_as_it_was(self):
         psi = w(4)
         cfg = SolverConfig(n_starts=8, rng_seed=4)
-        draw = solver._start_draw(4, 8, 4, "full_bloch")
+        draw = solver._cached_draw(4, 8, 4, "full_bloch")
         before = draw.tobytes()
         factors = solver._start_factors(psi, cfg)
         assert not np.shares_memory(factors, draw)
         solver._batched_ascent(psi.amplitudes, factors, 50, 1e-12)  # writes the factors
         pmax_alternating(psi, cfg)
         assert draw.tobytes() == before
-        assert solver._start_draw(4, 8, 4, "full_bloch") is draw
+        assert solver._cached_draw(4, 8, 4, "full_bloch") is draw
 
     def test_real_plane_refuses_a_complex_state_on_a_hit(self):
         cfg = SolverConfig(rng_seed=7, restriction="real_plane")
@@ -216,9 +222,8 @@ class TestReferenceStates:
     }
 
     def test_golden_results(self):
-        rng = np.random.default_rng(9082031)
-        for n in (8, 9, 10):
-            r = pmax_alternating(random_state(n, rng))
+        for n, psi in _golden_states().items():
+            r = pmax_alternating(psi)
             best_start, sweeps_used, pmax = self.GOLDEN[n]
             assert (r.best_start, r.sweeps_used, r.converged) == (best_start, sweeps_used, True)
             assert abs(r.pmax - pmax) <= 1e-13
@@ -321,13 +326,14 @@ class TestLeaderStop:
         # values.  Row 0 leads at 0.5 and has converged; its two-sweep gains
         # 8e-13, 4e-13, 1e-13 give ratios 1/2 and 1/4, and with the larger
         # it has 1e-13 left to climb.  Row 1 is pending 1e-12 below it, with
-        # gains 8e-13, 4e-13, 2e-13, so 2e-13 left.
+        # gains 8e-13, 4e-13, 2e-13, so 2e-13 left.  With no bound
+        # (certain = inf) only the leader stop can end the solve.
         tol = 1e-12
         now = np.array([0.5, 0.5 - 1e-12])
 
-        def stop(leader, pending, conv_at=(5, -1), n_starts=32):
+        def stop(leader, pending, conv_at=(5, -1), n_starts=32, certain=np.inf):
             recent = [now - [a, b] for a, b in zip(leader, pending)]
-            return solver._leader_stop(recent, np.array(conv_at), tol, n_starts, recent[-1].max())
+            return solver._may_stop(recent, np.array(conv_at), tol, n_starts, recent[-1].max(), certain)
 
         leader = [13e-13, 9e-13, 5e-13, 3e-13, 1e-13, 1e-13, 0.0]
         pending = [14e-13, 10e-13, 6e-13, 4e-13, 2e-13, 1e-13, 0.0]
@@ -345,6 +351,15 @@ class TestLeaderStop:
         # The leader's own climb must stay below tol / 2: gains 4e-12, 2e-12,
         # 1e-12 leave 1e-12.
         assert not stop([7e-12, 5e-12, 3e-12, 2e-12, 1e-12, 5e-13, 0.0], pending, (5, 5))
+        # The certified stop: a converged leader at or above certain ends the
+        # solve at any batch size and window, whatever the climbs; a pending
+        # one does not.  A 7-start batch without a bound never stops early.
+        assert not stop(leader, pending, n_starts=7)
+        for n_starts in (1, 7, 32):
+            assert stop(leader, climbing, n_starts=n_starts, certain=0.5)
+            assert stop(leader[1:], climbing[1:], n_starts=n_starts, certain=0.25)
+            assert not stop(leader, climbing, n_starts=n_starts, certain=np.nextafter(0.5, 1.0))
+            assert not stop(leader, climbing, (-1, -1), n_starts=n_starts, certain=0.25)
 
     # Each row: its last value, its six per-sweep gains (oldest first) and
     # whether it is pending.  Zero and negative steps give zero and negative
@@ -365,44 +380,53 @@ class TestLeaderStop:
         rows=st.lists(ROW, min_size=1, max_size=6),
         window=st.sampled_from([6, 7, 7, 7]),
         tol=st.sampled_from([1e-12, 1e-11, 1e-10]),
-        n_starts=st.sampled_from([31, 32, 32, 32]),
+        n_starts=st.sampled_from([7, 31, 32, 32, 32]),
+        below=st.sampled_from([None, None, 0.0, 1e-13, 0.2]),
     )
-    @example(  # no pending row: the leader's gains shrink by halves
-        rows=[(0.5, [8e-13, 8e-13, 4e-13, 4e-13, 2e-13, 2e-13], False)],
-        window=7, tol=1e-12, n_starts=32,
-    )
-    @example(  # one pending row, climbing by growing steps (r >= 1)
-        rows=[(0.5, [1e-14] * 6, False), (0.5 - 2e-12, [1e-13, 2e-13, 4e-13, 8e-13, 3e-12, 1e-11], True)],
-        window=7, tol=1e-12, n_starts=32,
+    @example(  # one pending row climbing by growing steps (r >= 1), the leader's shrinking
+        rows=[(0.5, [8e-13, 8e-13, 4e-13, 4e-13, 2e-13, 2e-13], False),
+              (0.5 - 2e-12, [1e-13, 2e-13, 4e-13, 8e-13, 3e-12, 1e-11], True)],
+        window=7, tol=1e-12, n_starts=32, below=None,
     )
     @example(  # zero and negative gains on both rows
         rows=[(0.5, [0.0] * 6, False), (0.5 - 3e-13, [-1e-13, 0.0, -1e-13, 0.0, 0.0, -1e-13], True)],
-        window=7, tol=1e-12, n_starts=32,
+        window=7, tol=1e-12, n_starts=32, below=None,
     )
     @settings(max_examples=300, deadline=None)
-    def test_decisions_match_the_whole_row_rule(self, rows, window, tol, n_starts):
-        # The rule estimates climbs on the leader and the pending rows alone;
-        # every decision must be that of the rule on whole rows.
+    def test_decisions_follow_the_rule(self, rows, window, tol, n_starts, below):
+        # certain is inf (no bound) or at most the leader's last value; each
+        # condition of _may_stop's docstring that applies must decide.
         last = np.array([base for base, _, _ in rows])
         steps = np.array([gains for _, gains, _ in rows]).T  # (6, rows)
-        below = np.concatenate([np.cumsum(steps[::-1], axis=0)[::-1], np.zeros((1, len(rows)))])
-        recent = list(last - below)[7 - window:]
+        cumulative = np.concatenate([np.cumsum(steps[::-1], axis=0)[::-1], np.zeros((1, len(rows)))])
+        recent = list(last - cumulative)[7 - window:]
         conv_at = np.array([-1 if pending else 3 for _, _, pending in rows])
-        want = _whole_row_leader_stop(recent, conv_at, tol, n_starts)
-        assert solver._leader_stop(recent, conv_at, tol, n_starts, recent[-1].max()) == want
+        sq = recent[-1]
+        leader = int(np.flatnonzero(sq >= sq.max() - tol)[0])
+        certain = np.inf if below is None else sq[leader] - below
+        stops = solver._may_stop(recent, conv_at, tol, n_starts, sq.max(), certain)
+        pending = conv_at < 0
+        settles = n_starts >= solver._STOP_MIN_STARTS and window == solver._STOP_WINDOW
+        if pending[leader] or below is None and not settles:
+            assert not stops
+        elif below is not None:
+            assert stops
+        else:
+            # A two-sweep gain G_t <= 0 leaves no climb, and growing gains
+            # (G_t >= G_{t-2} > 0) leave an unbounded one, on the leader or
+            # on a pending row.
+            now, before = sq - recent[-3], recent[-3] - recent[-5]
+            read = pending | (np.arange(len(sq)) == leader)
+            if np.any(read & (now >= before) & (before > 0.0)):
+                assert not stops
+            if np.all(now[read] <= 0.0):
+                assert stops == (not np.any(sq[pending] - sq[leader] > tol))
 
 
 class TestCertifiedStop:
     # A solve also stops once its converged leader reaches qubit 0's Schmidt
     # bound less tol, raised by a rounding margin; results keep their bytes
     # and only sweeps_used falls.
-
-    @staticmethod
-    def _result_bytes(r):
-        return (
-            np.float64(r.pmax).tobytes(), r.optimizer.factor_matrix().tobytes(),
-            r.best_start, r.converged, r.sweeps_used,
-        )
 
     @staticmethod
     def _without_the_stop(monkeypatch, psi, cfg):
@@ -436,7 +460,13 @@ class TestCertifiedStop:
             r = pmax_alternating(psi, cfg)
             plain = self._without_the_stop(monkeypatch, psi, cfg)
             assert r.sweeps_used == 1 < plain.sweeps_used
-            assert self._result_bytes(r)[:4] == self._result_bytes(plain)[:4]
+            assert _result_bytes(r)[:4] == _result_bytes(plain)[:4]
+
+    def test_the_margin_limits_the_reach_at_the_default_tol(self):
+        # The margin (3 * 2**(n-1) + 8) eps on a bound of 1/2 exceeds tol =
+        # 1e-12 from n = 13 on, so GHZ solves there sweep on to convergence.
+        # A summation with a smaller error bound would move these pins.
+        assert [pmax_alternating(ghz(n)).sweeps_used for n in (11, 12, 13, 14)] == [1, 1, 3, 3]
 
     @pytest.mark.parametrize("n_starts", [1, 7, 32])
     def test_nothing_changes_at_tol_1e_17(self, monkeypatch, n_starts):
@@ -445,7 +475,7 @@ class TestCertifiedStop:
         cfg = SolverConfig(n_starts=n_starts, tol=1e-17)
         for psi in self.CERTIFIED + [w(3), dicke(4, 2)]:
             r = pmax_alternating(psi, cfg)
-            assert self._result_bytes(r) == self._result_bytes(self._without_the_stop(monkeypatch, psi, cfg))
+            assert _result_bytes(r) == _result_bytes(self._without_the_stop(monkeypatch, psi, cfg))
 
     def test_the_rule_reads_the_leader_not_top(self):
         # sqrt(0.5 + d)|000> + sqrt(0.5 - d)|111>: row 0 starts on |111> and
@@ -466,34 +496,19 @@ class TestCertifiedStop:
 
     def test_ascent_history_keeps_its_length(self):
         # A single start ends when it converges, and the history passes no bound.
-        rng = np.random.default_rng(3)
-        start = ProductState(tuple(SingleQubitState(*random_state(1, rng).amplitudes) for _ in range(3)))
-        history = ascent_history(ghz(3), start)
+        history = ascent_history(ghz(3), _random_product(3, np.random.default_rng(3)))
         assert len(history) == 6
         assert abs(history[-1] - 0.5) <= 1e-15
 
 
-def _whole_row_leader_stop(recent, conv_at, tol, n_starts):
-    """The leader stop as written before it estimated climbs on the leader
-    and the pending rows only: every row's climb, then the two tests."""
-    if n_starts < solver._STOP_MIN_STARTS or len(recent) < solver._STOP_WINDOW:
-        return False
-    sq = recent[-1]
-    leader = int(np.argmax(sq >= sq.max() - tol))
-    if conv_at[leader] < 0:
-        return False
-    now, before, earlier = sq - recent[-3], recent[-3] - recent[-5], recent[-5] - recent[-7]
-    ratio, older = np.full_like(now, np.inf), np.full_like(now, np.inf)
-    np.divide(now, before, out=ratio, where=before > 0.0)
-    np.divide(before, earlier, out=older, where=earlier > 0.0)
-    r = np.minimum(np.maximum(ratio, older), 1.0)
-    climb = np.full_like(now, np.inf)
-    np.divide(now * r, 1.0 - r, out=climb, where=r < 1.0)
-    climb[now <= 0.0] = 0.0
-    if not climb[leader] < 0.5 * tol:
-        return False
-    pending = conv_at < 0
-    return not np.any(sq[pending] + climb[pending] - sq[leader] > tol)
+def _result_bytes(r):
+    """Every field of a result as bytes, sweeps_used last."""
+    factors = r.optimizer.factor_matrix().tobytes()
+    return np.float64(r.pmax).tobytes(), factors, r.best_start, r.converged, r.sweeps_used
+
+
+def _random_product(n, rng):
+    return ProductState(tuple(SingleQubitState(*random_state(1, rng).amplitudes) for _ in range(n)))
 
 
 def _golden_states():
@@ -501,13 +516,13 @@ def _golden_states():
     return {n: random_state(n, rng) for n in (8, 9, 10)}
 
 
-def _reference_ascent(amplitudes, factors, max_sweeps, tol, stop=True, bound=np.inf):
+def _reference_ascent(amplitudes, factors, max_sweeps, tol, stop=True, certain=np.inf):
     """The batched ascent without start retirement: every start is swept
-    until the solver's leader stop holds, the converged leader reaches
-    ``bound`` less tol, or every start has converged; with ``stop=False``,
-    until the slowest one converges.  From sweep _EXTRAPOLATE_FROM on, each
-    sweep ends with the extrapolation step, evaluated by the kernel's
-    batch_overlap."""
+    until the solver's early stops hold (``solver._may_stop``, given
+    ``certain``, a bound less tol) or every start has converged; with
+    ``stop=False``, until the slowest one converges.  From sweep
+    _EXTRAPOLATE_FROM on, each sweep ends with the extrapolation step,
+    evaluated by the kernel's batch_overlap."""
     n_starts, n = factors.shape[0], factors.shape[1]
     psi = amplitudes[np.newaxis]
     sq = np.abs(batch_overlap(psi, factors)) ** 2
@@ -543,26 +558,21 @@ def _reference_ascent(amplitudes, factors, max_sweeps, tol, stop=True, bound=np.
             new_sq[better] = trial_sq[better]
         sq = new_sq
         recent = (recent + [sq])[-solver._STOP_WINDOW:]
-        if np.all(conv_at >= 0) or stop and solver._leader_stop(recent, conv_at, tol, n_starts, sq.max()):
-            break
-        leader = int(np.flatnonzero(sq >= np.max(sq) - tol)[0])
-        if stop and conv_at[leader] >= 0 and sq[leader] >= bound - tol:
+        if np.all(conv_at >= 0) or stop and solver._may_stop(recent, conv_at, tol, n_starts, sq.max(), certain):
             break
     return sq, factors, conv_at, sweeps
 
 
 def _full_batch_pmax(psi, cfg):
     """pmax of the reference loop without the leader stop."""
-    sq = _reference_ascent(
-        psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol, stop=False
-    )[0]
+    sq = _reference_ascent(psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol, stop=False)[0]
     return sq[np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0]]
 
 
 def _assert_matches_reference(psi, cfg=SolverConfig()):
     sq, factors, conv_at, sweeps = _reference_ascent(
         psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol,
-        bound=solver._qubit0_bound(psi.amplitudes),
+        certain=solver._qubit0_bound(psi.amplitudes) - cfg.tol,
     )
     best = int(np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0])
     r = pmax_alternating(psi, cfg)
@@ -675,8 +685,7 @@ class TestStartRetirement:
         psi = basis_state(2, 0)
         degenerate = ProductState((SingleQubitState(1, 0), SingleQubitState(0, 1)))
         rng = np.random.default_rng(4)
-        qubits = [SingleQubitState(*random_state(1, rng).amplitudes) for _ in range(2)]
-        starts = [degenerate.factor_matrix(), ProductState(tuple(qubits)).factor_matrix()]
+        starts = [degenerate.factor_matrix(), _random_product(2, rng).factor_matrix()]
         sq, factors, conv_at, sweeps = solver._batched_ascent(
             psi.amplitudes, np.stack(starts), 500, 1e-12
         )
@@ -816,10 +825,7 @@ class TestMonotoneAscent:
     def test_history_is_nondecreasing(self, seed):
         rng = np.random.default_rng(seed)
         psi = random_state(3, rng)
-        start = ProductState(
-            tuple(SingleQubitState(*(random_state(1, rng).amplitudes)) for _ in range(3))
-        )
-        history = ascent_history(psi, start)
+        history = ascent_history(psi, _random_product(3, rng))
         assert np.all(np.diff(history) >= -1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8))
@@ -829,10 +835,7 @@ class TestMonotoneAscent:
         # runs the extrapolation step.
         rng = np.random.default_rng(seed)
         psi = random_state(n, rng)
-        start = ProductState(
-            tuple(SingleQubitState(*(random_state(1, rng).amplitudes)) for _ in range(n))
-        )
-        history = ascent_history(psi, start, max_sweeps=solver._EXTRAPOLATE_FROM + 20, tol=0.0)
+        history = ascent_history(psi, _random_product(n, rng), max_sweeps=solver._EXTRAPOLATE_FROM + 20, tol=0.0)
         assert len(history) == solver._EXTRAPOLATE_FROM + 21
         assert np.all(np.diff(history) >= -1e-12)
 
@@ -882,16 +885,12 @@ def _inflated_norms(real_norms):
     return inflated
 
 
-_DECREASE_UNDER_DASH_O = """
+_DECREASE_UNDER_DASH_O = f"""
 import sys
 from groverian import MonotonicityError, ghz, pmax_alternating, solver
-real_norms = solver._row_norms
-def inflated(v, *buffers):
-    out = real_norms(v, *buffers)
-    out *= 1e3
-    return out
-solver._row_norms = inflated
-print(f"optimize={sys.flags.optimize}")
+{inspect.getsource(_inflated_norms)}
+solver._row_norms = _inflated_norms(solver._row_norms)
+print(f"optimize={{sys.flags.optimize}}")
 try:
     pmax_alternating(ghz(3))
 except MonotonicityError:

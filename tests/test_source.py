@@ -201,6 +201,23 @@ def test_workspace_binds_one_layout():
     assert lines == [], f"solver.py: _Workspace.bind branches at lines {lines}"
 
 
+def test_ascent_leaves_early_only_through_may_stop():
+    # _batched_ascent's loop ends when no start is pending, when _may_stop
+    # holds or at the sweep cap.  A stop written anywhere else would be a
+    # second rule that _reference_ascent in test_solver.py does not see.
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    (ascent,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_batched_ascent"]
+    guards = [
+        node.test for node in ast.walk(ascent)
+        if isinstance(node, ast.If) and any(isinstance(s, ast.Break) for s in node.body)
+    ]
+    breaks = [node for node in ast.walk(ascent) if isinstance(node, ast.Break)]
+    assert len(breaks) == len(guards) == 2, f"solver.py: breaks at lines {[b.lineno for b in breaks]}"
+    first, second = sorted(guards, key=lambda test: test.lineno)
+    assert ast.unparse(first) == "pending == 0"
+    assert isinstance(second, ast.Call) and ast.unparse(second.func) == "_may_stop"
+
+
 def _finite_maxsize(call: ast.Call, constants: dict) -> bool:
     """Whether an lru_cache(...) call names a finite maxsize: none given (the
     default, 128), an int, or a module-level name bound to an int."""
