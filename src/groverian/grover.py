@@ -81,22 +81,30 @@ def diffusion_apply(psi: PureState) -> PureState:
 
 
 def optimal_iterations(n: int) -> int:
-    """Iteration count maximizing sin((2k+1) theta)**2 near pi/(4 theta) - 1/2.
-
-    Supports 2 <= n <= 2046: from n = 2047 on, (2k+1) * theta overflows a
-    float, and from n = 2150 on theta itself underflows to 0."""
-    if not 2 <= n <= _MAX_ITERATIONS_N:
-        raise ValueError(f"n: must lie in [2, {_MAX_ITERATIONS_N}], got {n!r}")
-    theta = math.asin(2.0 ** (-n / 2.0))
+    """Iteration count maximizing sin((2k+1) theta)**2 near pi/(4 theta) - 1/2,
+    for 2 <= n <= 2046 (see :func:`_theta`)."""
+    theta = _theta(n)
     k0 = round(math.pi / (4.0 * theta) - 0.5)
     candidates = [k for k in (k0 - 1, k0, k0 + 1) if k >= 0]
     return max(candidates, key=lambda k: (success_probability_closed_form(n, k), -k))
 
 
 def success_probability_closed_form(n: int, k: int) -> float:
-    """sin((2k+1) theta)**2 with theta = arcsin(2**(-n/2))."""
-    theta = math.asin(2.0 ** (-n / 2.0))
-    return math.sin((2 * k + 1) * theta) ** 2
+    """sin((2k+1) theta)**2 with theta = arcsin(2**(-n/2)): the success
+    probability after k >= 0 iterations, for 2 <= n <= 2046 (see
+    :func:`_theta`)."""
+    if k < 0:
+        raise ValueError(f"k: must be >= 0, got {k!r}")
+    return math.sin((2 * k + 1) * _theta(n)) ** 2
+
+
+def _theta(n: int) -> float:
+    """arcsin(2**(-n/2)), the one check of n for the closed forms: a search
+    needs n >= 2, from n = 2047 on (2k+1) * theta overflows a float, and
+    from n = 2150 on theta itself underflows to 0."""
+    if not 2 <= n <= _MAX_ITERATIONS_N:
+        raise ValueError(f"n: must lie in [2, {_MAX_ITERATIONS_N}], got {n!r}")
+    return math.asin(2.0 ** (-n / 2.0))
 
 
 def iterate_states(n_qubits: int, marked: int, iterations: int) -> list[PureState]:

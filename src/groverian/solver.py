@@ -55,7 +55,12 @@ GGHZ and product states it is P_max.  So once the leader has converged and
 its own value is at least that bound less ``tol``, no start can end more
 than ``tol`` above it and the solve stops, at any number of starts (the
 second stop of ``_may_stop``): on the benchmark's symmetric-small states
-GHZ-type, Dicke(n, 0) and Dicke(n, n) solves end after sweep 1.
+GHZ-type, Dicke(n, 0) and Dicke(n, n) solves end after sweep 1.  The bound
+is computed before the starts, and where the best basis weight alone is
+already above it less ``tol`` the basis start is swept once by itself, with
+no start drawn; when that sweep certifies it, its result is the full
+batch's, bit for bit, and otherwise the full batch is solved
+(``pmax_alternating``).
 """
 from __future__ import annotations
 
@@ -161,7 +166,10 @@ class PmaxResult:
     stop, in batches of at least 32 starts, or the certified stop, once the
     converged leader reached qubit 0's Schmidt bound less ``tol``), or
     ``max_sweeps``.  Starts retired early, far below the best, ran fewer,
-    and starts still climbing at the stop never converged.  ``converged``
+    and starts still climbing at the stop never converged.  A solve that
+    the basis start certifies alone (see :func:`pmax_alternating`) sweeps
+    it once and draws no other start, and reports what the full batch
+    would: ``sweeps_used`` 1 and ``best_start`` 0.  ``converged``
     says whether the best start converged, which it has whenever an early
     stop ended the solve; ``pmax`` then follows
     the result policy of ``_batched_ascent``.  It means only that one plain
@@ -186,13 +194,53 @@ class PmaxResult:
 
 
 def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> PmaxResult:
-    """Maximize |<product|psi>|**2 by multi-start alternating factor updates."""
+    """Maximize |<product|psi>|**2 by multi-start alternating factor updates.
+
+    The budget check counts ``cfg.n_starts * 2**n`` amplitudes, whatever is
+    then swept.  With ``certain`` set to qubit 0's bound
+    (:func:`_qubit0_bound`) less ``tol``, a state whose best basis weight
+    max_x |a_x|**2 is above ``certain`` is first swept from the basis start
+    alone, for one sweep, and nothing is drawn (:func:`_start_factors`).  If
+    that sweep converges the start at ``certain`` or above, its result is
+    the full batch's:
+
+    * a row's arithmetic does not depend on the batch it is in, so start 0
+      ends sweep 1 of the full batch with the same bits;
+    * every start's value after sweep 1 is at most the bound, so start 0, at
+      ``certain`` or above, is within ``tol`` of the largest (rounding is
+      monotone, so top <= bound gives top - tol <= certain as computed):
+      it is the tie-rule leader, converged and at least ``certain``, so
+      ``_may_stop`` ends the full batch after sweep 1, or every start has
+      converged there, and the tie rule returns start 0 either way.
+
+    Otherwise the full batch is solved from the start, and the lone sweep
+    was wasted.  The second point holds exactly, since no squared overlap
+    exceeds the top Schmidt value, but as computed it is a rounding
+    condition: no start's value may round above the computed bound.  The
+    bound's margin covers its own rounding with about 5 eps of the
+    bound to spare, more as 2**n grows (:func:`_qubit0_bound`), while a
+    start's value carries rounding of order n eps, so the condition is
+    measured, not proven.  On 251 states whose bound is P_max (GHZ and GGHZ
+    at n = 2-14, Dicke(n, 0) and Dicke(n, n), basis and random product
+    states at n <= 12, and the benchmark's 88 symmetric-small states), with
+    32 starts, 4 seeds and both restrictions, no start came within 6 eps of
+    the bound after 1 or 5 sweeps; the closest was GHZ2, whose bound is
+    1/2 + 7 eps.  The shortcut reaches as far as the certified stop: n <= 12
+    at the default tol, and no n at tol = 1e-17.
+    """
     n = psi.n_qubits
     _check_budget(cfg.n_starts * 2**n, "n_starts", f"{cfg.n_starts} starts x 2**{n} amplitudes")
-    factors = _start_factors(psi, cfg)
+    bound = _qubit0_bound(psi.amplitudes)
+    certain = bound - cfg.tol
+    factors = _start_factors(psi, cfg, certain)
+    alone = len(factors) < cfg.n_starts
     sq, factors, conv_at, sweeps = _batched_ascent(
-        psi.amplitudes, factors, cfg.max_sweeps, cfg.tol, bound=_qubit0_bound(psi.amplitudes)
+        psi.amplitudes, factors, 1 if alone else cfg.max_sweeps, cfg.tol, bound=bound
     )
+    if alone and not (conv_at[0] == 1 and sq[0] >= certain):
+        sq, factors, conv_at, sweeps = _batched_ascent(
+            psi.amplitudes, _start_factors(psi, cfg), cfg.max_sweeps, cfg.tol, bound=bound
+        )
     best = int(np.argmax(sq >= sq.max() - cfg.tol))
     fixed = _phase_fixed(factors[best]).tolist()
     optimizer = ProductState(tuple(SingleQubitState(c0, c1) for c0, c1 in fixed))
@@ -281,23 +329,29 @@ def ascent_history(
 # Batched internals
 # ----------------------------------------------------------------------------
 
-def _start_factors(psi: PureState, cfg: SolverConfig) -> np.ndarray:
+def _start_factors(psi: PureState, cfg: SolverConfig, certain: float = np.inf) -> np.ndarray:
     """(n_starts, n, 2) start factors; row 0 is the best basis product state,
     and rows 1.. are the random draw of :func:`_draw`, which depends on
     nothing but n and ``cfg``'s starts, seed and restriction.  Repeated
     solves of one configuration, such as a family sweep or a Grover trace,
     share one read-only draw (:func:`_cached_draw`); a draw of more than
-    ``_DRAW_CACHE_ELEMENTS`` entries is drawn afresh and not kept."""
+    ``_DRAW_CACHE_ELEMENTS`` entries is drawn afresh and not kept.  When the
+    best basis weight is above ``certain``, which :func:`pmax_alternating`
+    sets to qubit 0's bound less ``tol``, they are row 0 alone, (1, n, 2), and
+    nothing is drawn.  This is the one place starts are built."""
     n = psi.n_qubits
     if cfg.restriction == "real_plane":
         _real_amplitudes(psi)  # refuses a complex state, even with the basis start alone
-    factors = np.zeros((cfg.n_starts, n, 2), dtype=np.complex128)
-    x = int(np.argmax(np.abs(psi.amplitudes) ** 2))
+    weights = np.abs(psi.amplitudes) ** 2
+    x = int(np.argmax(weights))
+    alone = weights[x] > certain
+    factors = np.zeros((1 if alone else cfg.n_starts, n, 2), dtype=np.complex128)
     for i in range(n):
         bit = (x >> (n - 1 - i)) & 1
         factors[0, i, bit] = 1.0
-    draw = _draw if (cfg.n_starts - 1) * n * 2 > _DRAW_CACHE_ELEMENTS else _cached_draw
-    factors[1:] = draw(n, cfg.n_starts, cfg.rng_seed, cfg.restriction)
+    if not alone:
+        draw = _draw if (cfg.n_starts - 1) * n * 2 > _DRAW_CACHE_ELEMENTS else _cached_draw
+        factors[1:] = draw(n, cfg.n_starts, cfg.rng_seed, cfg.restriction)
     return factors
 
 

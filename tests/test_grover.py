@@ -86,6 +86,18 @@ class TestOptimalIterations:
         with pytest.raises(ValueError, match=rf"n: must lie in \[2, 2046\], got {n}"):
             optimal_iterations(n)
 
+    @pytest.mark.parametrize("n", [0, 1, 2047])
+    def test_closed_form_refuses_what_optimal_iterations_refuses(self, n):
+        # (0, 0) once gave 1.0: one n check serves both closed forms.
+        with pytest.raises(ValueError, match=rf"n: must lie in \[2, 2046\], got {n}"):
+            success_probability_closed_form(n, 0)
+
+    def test_closed_form_refuses_a_negative_count(self):
+        # (3, -1) once gave sin(-theta)**2 = 0.125, the count-0 value.
+        with pytest.raises(ValueError, match="k: must be >= 0, got -1"):
+            success_probability_closed_form(3, -1)
+        assert success_probability_closed_form(3, 0) == pytest.approx(0.125, abs=1e-15)
+
 
 class TestIterateStates:
     @pytest.mark.parametrize("n,marked", [(3, 5), (5, 7)])

@@ -501,6 +501,65 @@ class TestCertifiedStop:
         assert abs(history[-1] - 0.5) <= 1e-15
 
 
+class TestBasisStartAlone:
+    # A state whose best basis weight is above qubit 0's bound less tol is
+    # swept once from the basis start alone, with no start drawn; the result
+    # is the full batch's, which the certified stop ends after that sweep.
+
+    @staticmethod
+    def _starts(psi, cfg=SolverConfig()):
+        return solver._start_factors(psi, cfg, solver._qubit0_bound(psi.amplitudes) - cfg.tol)
+
+    def test_a_qualifying_solve_draws_nothing_and_sweeps_one_row(self, monkeypatch):
+        psi = gghz(5, a=math.sqrt(0.3))
+        swept = []
+        ascent = solver._batched_ascent
+
+        def recording(amplitudes, factors, max_sweeps, *args, **kwargs):
+            swept.append((len(factors), max_sweeps))
+            return ascent(amplitudes, factors, max_sweeps, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_batched_ascent", recording)
+        before = solver._cached_draw.cache_info()
+        r = pmax_alternating(psi)
+        assert solver._cached_draw.cache_info() == before
+        assert swept == [(1, 1)]
+        assert (r.best_start, r.sweeps_used, r.converged) == (0, 1, True)
+        assert self._starts(psi).shape == (1, 5, 2)
+        # W3's best basis weight 1/3 is far below its bound 2/3; at n = 13
+        # the bound's margin exceeds tol, so no weight is above bound - tol.
+        for other in (w(3), ghz(13)):
+            assert self._starts(other).shape == (32, other.n_qubits, 2)
+
+    def test_a_lone_sweep_that_certifies_nothing_falls_back(self, monkeypatch):
+        # A bound at the best basis weight admits the basis start alone, but
+        # one sweep from it climbs by more than tol, so it has not converged
+        # and the full batch is solved as it would be without the shortcut.
+        psi = random_state(4, np.random.default_rng(29))
+        weight = float(np.max(np.abs(psi.amplitudes) ** 2))
+        monkeypatch.setattr(solver, "_qubit0_bound", lambda amplitudes: weight)
+        cfg = SolverConfig()
+        alone = self._starts(psi, cfg)
+        assert alone.shape[0] == 1
+        assert solver._batched_ascent(psi.amplitudes, alone, 1, cfg.tol, bound=weight)[2][0] == -1
+        sq, factors, conv_at, sweeps = solver._batched_ascent(
+            psi.amplitudes, solver._start_factors(psi, cfg), 500, cfg.tol, bound=weight
+        )
+        best = int(np.argmax(sq >= sq.max() - cfg.tol))
+        r = pmax_alternating(psi, cfg)
+        assert (r.best_start, r.sweeps_used, r.pmax) == (best, sweeps, sq[best])
+        assert r.optimizer.factor_matrix().tobytes() == solver._phase_fixed(factors[best]).tobytes()
+
+    def test_real_plane_refuses_a_complex_state_first(self):
+        # (|000> + i|111>) / sqrt(2) qualifies: its basis weight 1/2 is the bound.
+        a = np.zeros(8, dtype=complex)
+        a[0], a[7] = 1.0, 1j
+        psi = PureState.normalized(a)
+        assert 0.5 > solver._qubit0_bound(psi.amplitudes) - SolverConfig().tol
+        with pytest.raises(ValueError, match="real-plane routines require real amplitudes"):
+            pmax_alternating(psi, SolverConfig(restriction="real_plane"))
+
+
 def _result_bytes(r):
     """Every field of a result as bytes, sweeps_used last."""
     factors = r.optimizer.factor_matrix().tobytes()
@@ -802,7 +861,11 @@ class TestRegisterSize:
         assert abs(pmax_alternating(w(13)).pmax - pmax_w(13).pmax) < 1e-9
 
     def test_start_budget_checked_before_allocating(self, monkeypatch):
+        # At tol = 1e-6 ghz(20) qualifies for the basis start alone, whose
+        # 2**20 amplitudes would fit the budget, but the check counts all 32.
         psi = ghz(20)
+        cfg = SolverConfig(n_starts=32, tol=1e-6)
+        assert 0.5 > solver._qubit0_bound(psi.amplitudes) - cfg.tol
 
         def no_starts(*args):
             raise AssertionError("start factors allocated before the budget check")
@@ -811,7 +874,7 @@ class TestRegisterSize:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="n_starts") as err:
-                pmax_alternating(psi, SolverConfig(n_starts=32))
+                pmax_alternating(psi, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

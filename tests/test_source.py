@@ -218,6 +218,30 @@ def test_ascent_leaves_early_only_through_may_stop():
     assert isinstance(second, ast.Call) and ast.unparse(second.func) == "_may_stop"
 
 
+def test_starts_are_drawn_only_in_start_factors():
+    # solver._start_factors is the one start builder: the basis start alone
+    # and the full batch both come from it, after its real-plane check.  A
+    # draw named anywhere else would be a second builder that can drift from
+    # it.  _cached_draw wraps _draw.
+    draws = {"_draw", "_cached_draw"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name in draws and owner != "_start_factors" and (owner, name) != ("_cached_draw", "_draw"):
+                    found.append((path.name, getattr(node, "lineno", top.lineno), name))
+    assert found == [], f"start draws named outside solver._start_factors: {found}"
+
+
 def _finite_maxsize(call: ast.Call, constants: dict) -> bool:
     """Whether an lru_cache(...) call names a finite maxsize: none given (the
     default, 128), an int, or a module-level name bound to an int."""
