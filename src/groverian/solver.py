@@ -220,12 +220,12 @@ def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> Pmax
     bound's margin covers its own rounding with about 5 eps of the
     bound to spare, more as 2**n grows (:func:`_qubit0_bound`), while a
     start's value carries rounding of order n eps, so the condition is
-    measured, not proven.  On 251 states whose bound is P_max (GHZ and GGHZ
-    at n = 2-14, Dicke(n, 0) and Dicke(n, n), basis and random product
-    states at n <= 12, and the benchmark's 88 symmetric-small states), with
-    32 starts, 4 seeds and both restrictions, no start came within 6 eps of
-    the bound after 1 or 5 sweeps; the closest was GHZ2, whose bound is
-    1/2 + 7 eps.  The shortcut reaches as far as the certified stop: n <= 12
+    measured, not proven.  On 163 states whose bound is P_max (GHZ and GGHZ
+    at n = 2-14, Dicke(n, 0), Dicke(n, n) and W(2), basis and random
+    product states at n <= 12) and the benchmark's 88 symmetric-small
+    states, with 32 starts, 4 seeds and both restrictions, no start came
+    within 6 eps of the bound after 1 or 5 sweeps; the closest was GHZ2,
+    whose bound is 1/2 + 7 eps.  The shortcut reaches as far as the certified stop: n <= 12
     at the default tol, and no n at tol = 1e-17.
     """
     n = psi.n_qubits
