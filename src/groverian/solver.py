@@ -48,19 +48,18 @@ early stops, so the result is bit-identical to sweeping every start until
 the stop, as long as no converged start would have climbed past the best
 afterwards (see ``_batched_ascent``).
 
-Every solve also has an upper bound, computed once before the first sweep:
-the largest squared Schmidt coefficient across qubit 0's cut, raised by a
-rounding margin (``_qubit0_bound``).  P_max never exceeds it, and for GHZ,
-GGHZ and product states it is P_max.  So once the leader has converged and
-its own value is at least that bound less ``tol``, no start can end more
-than ``tol`` above it and the solve stops, at any number of starts (the
-second stop of ``_may_stop``): on the benchmark's symmetric-small states
-GHZ-type, Dicke(n, 0) and Dicke(n, n) solves end after sweep 1.  The bound
-is computed before the starts, and where the best basis weight alone is
-already above it less ``tol`` the basis start is swept once by itself, with
-no start drawn; when that sweep certifies it, its result is the full
-batch's, bit for bit, and otherwise the full batch is solved
-(``pmax_alternating``).
+Every solve also has an upper bound, computed before any start: the largest
+squared Schmidt coefficient across qubit 0's cut, raised by a rounding
+margin (``_qubit0_bound``).  P_max never exceeds it, and for GHZ, GGHZ and
+product states it is P_max.  Where the best basis weight alone is already
+above that bound less ``tol``, the basis state is within ``tol`` of P_max
+and is returned as it is, with no start drawn and no sweep run
+(``pmax_alternating``): on the benchmark's symmetric-small states that is
+every GHZ-type, Dicke(n, 0) and Dicke(n, n) solve.  Otherwise, once the
+leader has converged and its own value is at least the bound less ``tol``,
+no start can end more than ``tol`` above it and the solve stops, at any
+number of starts (the second stop of ``_may_stop``); local-unitary images of
+GHZ states reach it after a few sweeps.
 """
 from __future__ import annotations
 
@@ -107,6 +106,7 @@ _STOP_MIN_STARTS = 32  # smallest batch the leader stop may end early
 # the default 32 starts at every register size the budget admits.
 _DRAW_CACHE_SIZE = 32
 _DRAW_CACHE_ELEMENTS = 2**12
+_BASIS_FACTORS = (SingleQubitState(1, 0), SingleQubitState(0, 1))  # |0> and |1>, phase-fixed
 
 
 class MonotonicityError(RuntimeError):
@@ -118,8 +118,9 @@ class MonotonicityError(RuntimeError):
 class SolverConfig:
     """Knobs of the multi-start alternating maximizer.
 
-    ``tol`` is the absolute change in squared overlap per full sweep, before
-    the sweep's extrapolation step, below which a start counts as converged.
+    ``tol``, in (0, 1), is the absolute change in squared overlap per full
+    sweep, before the sweep's extrapolation step, below which a start counts
+    as converged.
     ``restriction`` picks the start distribution: Haar-random factors
     (``full_bloch``) or real-plane angles uniform on [-pi/2, pi/2]
     (``real_plane``, real-amplitude states only).  Real-plane starts stay
@@ -145,8 +146,8 @@ class SolverConfig:
             raise ValueError(f"n_starts: must be >= 1, got {self.n_starts!r}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps: must be >= 1, got {self.max_sweeps!r}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol: must be > 0, got {self.tol!r}")
+        if not 0.0 < self.tol < 1.0:  # squared overlaps lie in [0, 1]
+            raise ValueError(f"tol: must be in (0, 1), got {self.tol!r}")
         _check_seed(self.rng_seed)
         if self.restriction not in RESTRICTIONS:
             raise ValueError(
@@ -167,12 +168,12 @@ class PmaxResult:
     converged leader reached qubit 0's Schmidt bound less ``tol``), or
     ``max_sweeps``.  Starts retired early, far below the best, ran fewer,
     and starts still climbing at the stop never converged.  A solve that
-    the basis start certifies alone (see :func:`pmax_alternating`) sweeps
-    it once and draws no other start, and reports what the full batch
-    would: ``sweeps_used`` 1 and ``best_start`` 0.  ``converged``
-    says whether the best start converged, which it has whenever an early
-    stop ended the solve; ``pmax`` then follows
-    the result policy of ``_batched_ascent``.  It means only that one plain
+    the basis state certifies (see :func:`pmax_alternating`) sweeps nothing:
+    ``sweeps_used`` is 0, ``best_start`` 0, ``converged`` True and ``pmax``
+    the basis weight, as for GHZ states at n = 2-12 at the default tol.
+    ``converged`` says whether the best start converged, which it has
+    whenever an early stop ended the solve; ``pmax`` then follows the result
+    policy of ``_batched_ascent``.  It means only that one plain
     sweep of that start gained less than ``tol``, not that the start is
     stationary: a converged start can still gain more than ``tol`` later.
     In a 7-start solve of ``random_state(7, default_rng(2197545828))`` at
@@ -196,51 +197,37 @@ class PmaxResult:
 def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> PmaxResult:
     """Maximize |<product|psi>|**2 by multi-start alternating factor updates.
 
-    The budget check counts ``cfg.n_starts * 2**n`` amplitudes, whatever is
-    then swept.  With ``certain`` set to qubit 0's bound
-    (:func:`_qubit0_bound`) less ``tol``, a state whose best basis weight
-    max_x |a_x|**2 is above ``certain`` is first swept from the basis start
-    alone, for one sweep, and nothing is drawn (:func:`_start_factors`).  If
-    that sweep converges the start at ``certain`` or above, its result is
-    the full batch's:
-
-    * a row's arithmetic does not depend on the batch it is in, so start 0
-      ends sweep 1 of the full batch with the same bits;
-    * every start's value after sweep 1 is at most the bound, so start 0, at
-      ``certain`` or above, is within ``tol`` of the largest (rounding is
-      monotone, so top <= bound gives top - tol <= certain as computed):
-      it is the tie-rule leader, converged and at least ``certain``, so
-      ``_may_stop`` ends the full batch after sweep 1, or every start has
-      converged there, and the tie rule returns start 0 either way.
-
-    Otherwise the full batch is solved from the start, and the lone sweep
-    was wasted.  The second point holds exactly, since no squared overlap
-    exceeds the top Schmidt value, but as computed it is a rounding
-    condition: no start's value may round above the computed bound.  The
-    bound's margin covers its own rounding with about 5 eps of the
-    bound to spare, more as 2**n grows (:func:`_qubit0_bound`), while a
-    start's value carries rounding of order n eps, so the condition is
-    measured, not proven.  On 163 states whose bound is P_max (GHZ and GGHZ
-    at n = 2-14, Dicke(n, 0), Dicke(n, n) and W(2), basis and random
-    product states at n <= 12) and the benchmark's 88 symmetric-small
-    states, with 32 starts, 4 seeds and both restrictions, no start came
-    within 6 eps of the bound after 1 or 5 sweeps; the closest was GHZ2,
-    whose bound is 1/2 + 7 eps.  The shortcut reaches as far as the certified stop: n <= 12
-    at the default tol, and no n at tol = 1e-17.
+    The budget check counts ``cfg.n_starts * 2**n`` amplitudes, and the
+    real-plane check refuses a complex state, before anything else.  Then a
+    state whose best basis weight w = max_x |a_x|**2 is above qubit 0's
+    bound (:func:`_qubit0_bound`) less ``tol``, as computed, is certified by
+    its basis state alone, which is returned unswept, with nothing drawn:
+    P_max <= the exact bound <= the computed bound, and the bound's margin
+    also covers the rounding of the subtraction of ``tol``, so
+    w > bound - tol as computed gives w > P_max - tol.  Its factors are
+    |0> and |1>, phase-fixed as every optimizer is.  Every other state is
+    solved from the full batch of starts (:func:`_start_factors`).
     """
     n = psi.n_qubits
     _check_budget(cfg.n_starts * 2**n, "n_starts", f"{cfg.n_starts} starts x 2**{n} amplitudes")
+    if cfg.restriction == "real_plane":
+        _real_amplitudes(psi)  # refuses a complex state, even one its basis state certifies
+    weights = np.abs(psi.amplitudes) ** 2
+    x = int(np.argmax(weights))
+    weight = weights[x]
+    del weights  # kept through the sweeps, it raised haar-large's peak RSS by 0.6 MB
     bound = _qubit0_bound(psi.amplitudes)
-    certain = bound - cfg.tol
-    factors = _start_factors(psi, cfg, certain)
-    alone = len(factors) < cfg.n_starts
-    sq, factors, conv_at, sweeps = _batched_ascent(
-        psi.amplitudes, factors, 1 if alone else cfg.max_sweeps, cfg.tol, bound=bound
-    )
-    if alone and not (conv_at[0] == 1 and sq[0] >= certain):
-        sq, factors, conv_at, sweeps = _batched_ascent(
-            psi.amplitudes, _start_factors(psi, cfg), cfg.max_sweeps, cfg.tol, bound=bound
+    if weight > bound - cfg.tol:
+        return PmaxResult(
+            pmax=float(weight),
+            optimizer=ProductState(tuple(_BASIS_FACTORS[b == "1"] for b in f"{x:0{n}b}")),
+            sweeps_used=0,
+            converged=True,
+            best_start=0,
         )
+    sq, factors, conv_at, sweeps = _batched_ascent(
+        psi.amplitudes, _start_factors(n, x, cfg), cfg.max_sweeps, cfg.tol, bound=bound
+    )
     best = int(np.argmax(sq >= sq.max() - cfg.tol))
     fixed = _phase_fixed(factors[best]).tolist()
     optimizer = ProductState(tuple(SingleQubitState(c0, c1) for c0, c1 in fixed))
@@ -329,29 +316,21 @@ def ascent_history(
 # Batched internals
 # ----------------------------------------------------------------------------
 
-def _start_factors(psi: PureState, cfg: SolverConfig, certain: float = np.inf) -> np.ndarray:
-    """(n_starts, n, 2) start factors; row 0 is the best basis product state,
-    and rows 1.. are the random draw of :func:`_draw`, which depends on
-    nothing but n and ``cfg``'s starts, seed and restriction.  Repeated
-    solves of one configuration, such as a family sweep or a Grover trace,
-    share one read-only draw (:func:`_cached_draw`); a draw of more than
-    ``_DRAW_CACHE_ELEMENTS`` entries is drawn afresh and not kept.  When the
-    best basis weight is above ``certain``, which :func:`pmax_alternating`
-    sets to qubit 0's bound less ``tol``, they are row 0 alone, (1, n, 2), and
-    nothing is drawn.  This is the one place starts are built."""
-    n = psi.n_qubits
-    if cfg.restriction == "real_plane":
-        _real_amplitudes(psi)  # refuses a complex state, even with the basis start alone
-    weights = np.abs(psi.amplitudes) ** 2
-    x = int(np.argmax(weights))
-    alone = weights[x] > certain
-    factors = np.zeros((1 if alone else cfg.n_starts, n, 2), dtype=np.complex128)
+def _start_factors(n: int, x: int, cfg: SolverConfig) -> np.ndarray:
+    """(n_starts, n, 2) start factors of an n-qubit state whose best basis
+    state is |x>: row 0 is that basis product state, and rows 1.. are the
+    random draw of :func:`_draw`, which depends on nothing but n and
+    ``cfg``'s starts, seed and restriction.  Repeated solves of one
+    configuration, such as a family sweep or a Grover trace, share one
+    read-only draw (:func:`_cached_draw`); a draw of more than
+    ``_DRAW_CACHE_ELEMENTS`` entries is drawn afresh and not kept.  This is
+    the one place starts are built."""
+    factors = np.zeros((cfg.n_starts, n, 2), dtype=np.complex128)
     for i in range(n):
         bit = (x >> (n - 1 - i)) & 1
         factors[0, i, bit] = 1.0
-    if not alone:
-        draw = _draw if (cfg.n_starts - 1) * n * 2 > _DRAW_CACHE_ELEMENTS else _cached_draw
-        factors[1:] = draw(n, cfg.n_starts, cfg.rng_seed, cfg.restriction)
+    draw = _draw if (cfg.n_starts - 1) * n * 2 > _DRAW_CACHE_ELEMENTS else _cached_draw
+    factors[1:] = draw(n, cfg.n_starts, cfg.rng_seed, cfg.restriction)
     return factors
 
 
@@ -593,10 +572,11 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     dot products of N = 2**(n-1) entries and a closed form, no SVD, 3-4 us
     at n = 3-10.  It is at least (p + q) / 2, so at least 1/2 for a unit psi.
 
-    The margin makes rounding only delay the certified stop of
-    :func:`_may_stop`, which compares the leader with the bound less
-    ``tol``.  The three sums each add 2N real products, so in whatever order
-    BLAS takes them each part of a computed sum is within
+    The margin makes rounding only withhold the basis shortcut of
+    :func:`pmax_alternating` or delay the certified stop of
+    :func:`_may_stop`, which compare the basis weight and the leader with
+    the bound less ``tol``.  The three sums each add 2N real products, so
+    in whatever order BLAS takes them each part of a computed sum is within
     gamma_2N = 2Nu / (1 - 2Nu) of the sum of its products' moduli (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
     u = 2**-53, eps = 2u.  That puts the computed 2 x 2 matrix within
@@ -609,13 +589,13 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     as computed above the exact bound less ``tol``, at every size the budget
     admits; products that underflow lose under 2**-1051 in all.
 
-    The margin grows with N, which limits the stop's reach.  On a bound of
-    1/2 it exceeds the default tol of 1e-12 from n = 13 on, so no leader
-    can reach the bound less ``tol`` there: ``pmax_alternating(ghz(n))``
-    ends after 1 sweep at n = 11 and 12 but after 3 at n = 13 and 14.  At
-    tol = 1e-17 the margin, at least 11 eps of a bound of at least 1/2,
-    exceeds tol at every n, so a leader would have to round that far above
-    the maximum, and no solve measured stopped this way.
+    The margin grows with N, which limits the reach of both.  On a bound of
+    1/2 it exceeds the default tol of 1e-12 from n = 13 on, so neither the
+    basis weight nor a leader can reach the bound less ``tol`` there:
+    ``pmax_alternating(ghz(n))`` takes 0 sweeps at n = 11 and 12 but 3 at
+    n = 13 and 14.  At tol = 1e-17 the margin, at least 11 eps of a bound of
+    at least 1/2, exceeds tol at every n, so a value would have to round
+    that far above the maximum, and no solve measured took either.
     """
     half = len(amplitudes) // 2
     a, b = amplitudes[:half], amplitudes[half:]
@@ -652,7 +632,9 @@ def _may_stop(
     n = 3-6, the 15 reference states; tol 1e-12, 1e-8 and 1e-17; 1, 7 and
     32 starts) ``pmax``, the optimizer bytes, ``best_start`` and
     ``converged`` equal the solve without this stop, and ``sweeps_used``
-    fell on 300, none of them at tol 1e-17 or on a random state.
+    fell on 300, none of them at tol 1e-17 or on a random state.  Most of
+    those are now certified by their basis state in :func:`pmax_alternating`
+    and never swept.
 
     Leader stop, once the batch can settle: it began with at least
     ``_STOP_MIN_STARTS`` starts, since in a smaller one the best basin may

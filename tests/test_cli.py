@@ -326,6 +326,15 @@ class TestExitCodes:
         assert out == ""
         assert "real amplitudes" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "1", "nan", "0", "-1e-12"])
+    def test_tol_outside_the_unit_interval_exits_2(self, capsys, tol):
+        # At tol = inf W5 once printed pmax 0.2, its basis weight, as converged;
+        # its P_max is 0.4096.
+        code, out, err = run_cli(capsys, "pmax", "--family", "w:5", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert f"tol: must be in (0, 1), got {float(tol)!r}" in err
+
     def test_bad_family_parameter_exits_2(self, capsys):
         for spec in ("gghz:3,a2=nope", "dicke:4", "w:", "gghz:3,a2=0.2,a2=0.3", "w:4,5"):
             code, _, _ = run_cli(capsys, "pmax", "--family", spec)

@@ -53,6 +53,12 @@ class TestConfig:
             ({"tol": 0.0}, "tol"),
             ({"rng_seed": -1}, "rng_seed"),
             ({"restriction": "bloch"}, "restriction"),
+            # Squared overlaps lie in [0, 1]: at tol >= 1 every start would
+            # count as converged after one sweep, and every basis state as
+            # within tol of P_max.
+            ({"tol": 1.0}, "tol"),
+            ({"tol": math.inf}, "tol"),
+            ({"tol": math.nan}, "tol"),
         ],
     )
     def test_validation(self, kwargs, field):
@@ -170,7 +176,7 @@ class TestStartDraw:
         assert (info.hits, info.misses) == (1, 1)
         assert _result_bytes(hit) == _result_bytes(miss)
         fresh = solver._draw(5, cfg.n_starts, cfg.rng_seed, restriction)
-        assert solver._start_factors(psi, cfg)[1:].tobytes() == fresh.astype(complex).tobytes()
+        assert _starts(psi, cfg)[1:].tobytes() == fresh.astype(complex).tobytes()
 
     def test_cached_rows_are_read_only(self):
         draw = solver._cached_draw(4, 8, 2, "full_bloch")
@@ -183,7 +189,7 @@ class TestStartDraw:
         cfg = SolverConfig(n_starts=8, rng_seed=4)
         draw = solver._cached_draw(4, 8, 4, "full_bloch")
         before = draw.tobytes()
-        factors = solver._start_factors(psi, cfg)
+        factors = _starts(psi, cfg)
         assert not np.shares_memory(factors, draw)
         solver._batched_ascent(psi.amplitudes, factors, 50, 1e-12)  # writes the factors
         pmax_alternating(psi, cfg)
@@ -192,7 +198,7 @@ class TestStartDraw:
 
     def test_real_plane_refuses_a_complex_state_on_a_hit(self):
         cfg = SolverConfig(rng_seed=7, restriction="real_plane")
-        pmax_alternating(ghz(3), cfg)  # the draw for (3, 32, 7, real_plane) is now cached
+        pmax_alternating(w(3), cfg)  # the draw for (3, 32, 7, real_plane) is now cached
         before = solver._cached_draw.cache_info()
         with pytest.raises(ValueError, match="real amplitudes"):
             pmax_alternating(random_state(3, np.random.default_rng(7)), cfg)
@@ -204,10 +210,10 @@ class TestStartDraw:
         n_starts = solver._DRAW_CACHE_ELEMENTS // (2 * n) + 2
         assert (n_starts - 1) * n * 2 > solver._DRAW_CACHE_ELEMENTS
         solver._cached_draw.cache_clear()
-        factors = solver._start_factors(ghz(n), SolverConfig(n_starts=n_starts, rng_seed=3))
+        factors = _starts(ghz(n), SolverConfig(n_starts=n_starts, rng_seed=3))
         assert solver._cached_draw.cache_info().currsize == 0
         assert factors[1:].tobytes() == solver._draw(n, n_starts, 3, "full_bloch").tobytes()
-        solver._start_factors(ghz(n), SolverConfig(n_starts=n_starts - 1, rng_seed=3))
+        _starts(ghz(n), SolverConfig(n_starts=n_starts - 1, rng_seed=3))
         assert solver._cached_draw.cache_info().currsize == 1  # the largest draw kept
 
 
@@ -245,14 +251,18 @@ class TestReferenceStates:
             r = pmax_alternating(psi, cfg)
             assert r.best_start == best
             assert r.pmax >= _full_batch_pmax(psi, cfg) - cfg.tol
-            start = solver._start_factors(psi, cfg)[best:best + 1].copy()
+            start = _starts(psi, cfg)[best:best + 1].copy()
             limit = solver._batched_ascent(psi.amplitudes, start, 10**4, 1e-17)[0][0]
             assert abs(limit - r.pmax) <= cfg.tol
 
-    def test_tie_goes_to_the_lowest_start_within_tol(self):
-        # GHZ3: the basis start (index 0) ends at 0.4999999999999999 and start
-        # 7 at 0.5000000000000001; that rounding must not pick the winner.
-        r = pmax_alternating(ghz(3))
+    def test_tie_goes_to_the_lowest_start_within_tol(self, monkeypatch):
+        # GHZ3's full batch without the bound, which neither returns the basis
+        # state nor stops after sweep 1: the basis start (index 0) ends at
+        # 0.4999999999999999 and start 7 at 0.5000000000000001; that rounding
+        # must not pick the winner.
+        sq = _full_batch(ghz(3), bound=np.inf)[0]
+        assert int(np.argmax(sq)) == 7 and sq[7] > sq[0]
+        r = TestCertifiedStop._without_the_stop(monkeypatch, ghz(3), SolverConfig())
         assert r.best_start == 0
         assert abs(r.pmax - 0.5) <= 1e-15
 
@@ -455,18 +465,21 @@ class TestCertifiedStop:
 
     @pytest.mark.parametrize("n_starts", [7, 32])
     def test_certified_states_stop_after_one_sweep(self, monkeypatch, n_starts):
+        # pmax_alternating returns these states' basis states unswept, so
+        # the stop is pinned on the full batch it would sweep.
         cfg = SolverConfig(n_starts=n_starts)
         for psi in self.CERTIFIED:
-            r = pmax_alternating(psi, cfg)
-            plain = self._without_the_stop(monkeypatch, psi, cfg)
-            assert r.sweeps_used == 1 < plain.sweeps_used
-            assert _result_bytes(r)[:4] == _result_bytes(plain)[:4]
+            assert pmax_alternating(psi, cfg).sweeps_used == 0
+            stopped = _picked_bytes(*_full_batch(psi, cfg), cfg.tol)
+            plain = _picked_bytes(*_full_batch(psi, cfg, bound=np.inf), cfg.tol)
+            assert stopped[4] == 1 < plain[4]
+            assert stopped[:4] == plain[:4]
 
     def test_the_margin_limits_the_reach_at_the_default_tol(self):
         # The margin (3 * 2**(n-1) + 8) eps on a bound of 1/2 exceeds tol =
         # 1e-12 from n = 13 on, so GHZ solves there sweep on to convergence.
         # A summation with a smaller error bound would move these pins.
-        assert [pmax_alternating(ghz(n)).sweeps_used for n in (11, 12, 13, 14)] == [1, 1, 3, 3]
+        assert [pmax_alternating(ghz(n)).sweeps_used for n in (11, 12, 13, 14)] == [0, 0, 3, 3]
 
     @pytest.mark.parametrize("n_starts", [1, 7, 32])
     def test_nothing_changes_at_tol_1e_17(self, monkeypatch, n_starts):
@@ -503,52 +516,59 @@ class TestCertifiedStop:
 
 class TestBasisStartAlone:
     # A state whose best basis weight is above qubit 0's bound less tol is
-    # swept once from the basis start alone, with no start drawn; the result
-    # is the full batch's, which the certified stop ends after that sweep.
+    # within tol of P_max at its basis state, which is returned unswept, with
+    # no start drawn.
+
+    QUALIFYING = (gghz(5, a=math.sqrt(0.3)), ghz(12), dicke(6, 0), w(2))
+
+    # The benchmark's symmetric-small states that qualify: every GGHZ state
+    # at n = 3 and 5, W(2) = Dicke(2, 1), and Dicke(n, 0) and Dicke(n, n).
+    SYMMETRIC_SMALL = (
+        [gghz(n, a=math.sqrt(a2)) for n in (3, 5) for a2 in np.round(np.arange(0.05, 1.0, 0.05), 2)]
+        + [w(2), dicke(2, 1)]
+        + [dicke(n, k) for n in range(2, 7) for k in (0, n)]
+    )
 
     @staticmethod
-    def _starts(psi, cfg=SolverConfig()):
-        return solver._start_factors(psi, cfg, solver._qubit0_bound(psi.amplitudes) - cfg.tol)
+    def _basis_product(psi):
+        x = int(np.argmax(np.abs(psi.amplitudes) ** 2))
+        bits = [(x >> (psi.n_qubits - 1 - i)) & 1 for i in range(psi.n_qubits)]
+        return ProductState(tuple(SingleQubitState(1 - b, b) for b in bits))
 
-    def test_a_qualifying_solve_draws_nothing_and_sweeps_one_row(self, monkeypatch):
-        psi = gghz(5, a=math.sqrt(0.3))
-        swept = []
-        ascent = solver._batched_ascent
+    def test_a_qualifying_solve_draws_nothing_and_sweeps_nothing(self, monkeypatch):
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("a qualifying solve swept")
 
-        def recording(amplitudes, factors, max_sweeps, *args, **kwargs):
-            swept.append((len(factors), max_sweeps))
-            return ascent(amplitudes, factors, max_sweeps, *args, **kwargs)
+        monkeypatch.setattr(solver, "_batched_ascent", no_ascent)
+        for psi in self.QUALIFYING:
+            before = solver._cached_draw.cache_info()
+            pmax_alternating(psi)
+            assert solver._cached_draw.cache_info() == before
 
-        monkeypatch.setattr(solver, "_batched_ascent", recording)
-        before = solver._cached_draw.cache_info()
-        r = pmax_alternating(psi)
-        assert solver._cached_draw.cache_info() == before
-        assert swept == [(1, 1)]
-        assert (r.best_start, r.sweeps_used, r.converged) == (0, 1, True)
-        assert self._starts(psi).shape == (1, 5, 2)
+    def test_a_qualifying_solve_returns_its_basis_state(self):
+        for psi in self.QUALIFYING:
+            r = pmax_alternating(psi)
+            weight = np.max(np.abs(psi.amplitudes) ** 2)
+            assert (r.sweeps_used, r.best_start, r.converged) == (0, 0, True)
+            assert np.float64(r.pmax).tobytes() == weight.tobytes()
+            basis = self._basis_product(psi)
+            assert r.optimizer == basis
+            assert r.optimizer.factor_matrix().tobytes() == basis.factor_matrix().tobytes()
         # W3's best basis weight 1/3 is far below its bound 2/3; at n = 13
         # the bound's margin exceeds tol, so no weight is above bound - tol.
         for other in (w(3), ghz(13)):
-            assert self._starts(other).shape == (32, other.n_qubits, 2)
+            assert pmax_alternating(other).sweeps_used > 0
 
-    def test_a_lone_sweep_that_certifies_nothing_falls_back(self, monkeypatch):
-        # A bound at the best basis weight admits the basis start alone, but
-        # one sweep from it climbs by more than tol, so it has not converged
-        # and the full batch is solved as it would be without the shortcut.
-        psi = random_state(4, np.random.default_rng(29))
-        weight = float(np.max(np.abs(psi.amplitudes) ** 2))
-        monkeypatch.setattr(solver, "_qubit0_bound", lambda amplitudes: weight)
+    def test_within_tol_of_the_full_batch(self, monkeypatch):
+        # The full batch: no bound, so neither the shortcut nor the certified stop.
         cfg = SolverConfig()
-        alone = self._starts(psi, cfg)
-        assert alone.shape[0] == 1
-        assert solver._batched_ascent(psi.amplitudes, alone, 1, cfg.tol, bound=weight)[2][0] == -1
-        sq, factors, conv_at, sweeps = solver._batched_ascent(
-            psi.amplitudes, solver._start_factors(psi, cfg), 500, cfg.tol, bound=weight
-        )
-        best = int(np.argmax(sq >= sq.max() - cfg.tol))
-        r = pmax_alternating(psi, cfg)
-        assert (r.best_start, r.sweeps_used, r.pmax) == (best, sweeps, sq[best])
-        assert r.optimizer.factor_matrix().tobytes() == solver._phase_fixed(factors[best]).tobytes()
+        for psi in TestCertifiedStop.CERTIFIED + self.SYMMETRIC_SMALL:
+            r = pmax_alternating(psi, cfg)
+            assert r.sweeps_used == 0
+            assert r.pmax >= np.max(np.abs(psi.amplitudes) ** 2)
+            full = TestCertifiedStop._without_the_stop(monkeypatch, psi, cfg)
+            assert full.sweeps_used > 0
+            assert abs(r.pmax - full.pmax) <= cfg.tol
 
     def test_real_plane_refuses_a_complex_state_first(self):
         # (|000> + i|111>) / sqrt(2) qualifies: its basis weight 1/2 is the bound.
@@ -564,6 +584,30 @@ def _result_bytes(r):
     """Every field of a result as bytes, sweeps_used last."""
     factors = r.optimizer.factor_matrix().tobytes()
     return np.float64(r.pmax).tobytes(), factors, r.best_start, r.converged, r.sweeps_used
+
+
+def _picked_bytes(sq, factors, conv_at, sweeps, tol):
+    """:func:`_result_bytes` of the result pmax_alternating assembles from a
+    full-batch solve's (squared overlaps, factors, convergence sweeps,
+    sweeps), by the tie rule.  Bytes, not ==, which would take -0.0 for 0.0."""
+    best = int(np.flatnonzero(sq >= np.max(sq) - tol)[0])
+    factors = solver._phase_fixed(factors[best]).tobytes()
+    return sq[best].tobytes(), factors, best, bool(conv_at[best] >= 0), sweeps
+
+
+def _starts(psi, cfg=SolverConfig()):
+    """The solver's full batch of start factors for psi."""
+    x = int(np.argmax(np.abs(psi.amplitudes) ** 2))
+    return solver._start_factors(psi.n_qubits, x, cfg)
+
+
+def _full_batch(psi, cfg=SolverConfig(), bound=None):
+    """(squared overlaps, factors, convergence sweeps, sweeps) of the batch
+    pmax_alternating sweeps for psi unless its basis state certifies it, with
+    the certified stop at ``bound`` (default qubit 0's bound)."""
+    if bound is None:
+        bound = solver._qubit0_bound(psi.amplitudes)
+    return solver._batched_ascent(psi.amplitudes, _starts(psi, cfg), cfg.max_sweeps, cfg.tol, bound=bound)
 
 
 def _random_product(n, rng):
@@ -624,21 +668,22 @@ def _reference_ascent(amplitudes, factors, max_sweeps, tol, stop=True, certain=n
 
 def _full_batch_pmax(psi, cfg):
     """pmax of the reference loop without the leader stop."""
-    sq = _reference_ascent(psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol, stop=False)[0]
+    sq = _reference_ascent(psi.amplitudes, _starts(psi, cfg), cfg.max_sweeps, cfg.tol, stop=False)[0]
     return sq[np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0]]
 
 
 def _assert_matches_reference(psi, cfg=SolverConfig()):
-    sq, factors, conv_at, sweeps = _reference_ascent(
-        psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol,
-        certain=solver._qubit0_bound(psi.amplitudes) - cfg.tol,
+    # The full batch is pinned even where the basis state certifies psi and
+    # pmax_alternating sweeps nothing; elsewhere the result is pinned too.
+    bound = solver._qubit0_bound(psi.amplitudes)
+    want = _picked_bytes(
+        *_reference_ascent(psi.amplitudes, _starts(psi, cfg), cfg.max_sweeps, cfg.tol, certain=bound - cfg.tol),
+        cfg.tol,
     )
-    best = int(np.flatnonzero(sq >= np.max(sq) - cfg.tol)[0])
+    assert _picked_bytes(*_full_batch(psi, cfg, bound), cfg.tol) == want
     r = pmax_alternating(psi, cfg)
-    assert (r.best_start, r.sweeps_used, r.converged) == (best, sweeps, bool(conv_at[best] >= 0))
-    # Bytes, not ==, which would take -0.0 for 0.0.
-    assert np.float64(r.pmax).tobytes() == sq[best].tobytes()
-    assert r.optimizer.factor_matrix().tobytes() == solver._phase_fixed(factors[best]).tobytes()
+    if r.sweeps_used:
+        assert _result_bytes(r) == want
 
 
 class TestStartRetirement:
@@ -688,10 +733,10 @@ class TestStartRetirement:
         for psi in (states[15], states[28]):
             _assert_matches_reference(psi, cfg)
             ref_sq = _reference_ascent(
-                psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol
+                psi.amplitudes, _starts(psi, cfg), cfg.max_sweeps, cfg.tol
             )[0]
             sq = solver._batched_ascent(
-                psi.amplitudes, solver._start_factors(psi, cfg), cfg.max_sweeps, cfg.tol
+                psi.amplitudes, _starts(psi, cfg), cfg.max_sweeps, cfg.tol
             )[0]
             assert np.max(ref_sq - sq) > 1e-3
 
@@ -762,7 +807,7 @@ class TestStartRetirement:
         rng = np.random.default_rng(8)
         for n in (3, 6):
             psi = random_state(n, rng)
-            starts = solver._start_factors(psi, SolverConfig(n_starts=5, rng_seed=n))
+            starts = _starts(psi, SolverConfig(n_starts=5, rng_seed=n))
             sweeps = solver._EXTRAPOLATE_FROM + 8
             sq, factors, conv_at, _ = solver._batched_ascent(
                 psi.amplitudes, starts.copy(), sweeps, 0.0
@@ -780,7 +825,7 @@ class TestStartRetirement:
         # and the trial's prefix chain is that same step.  At tol = 0 no row
         # converges, so every sweep from _EXTRAPOLATE_FROM on extrapolates.
         psi = random_state(n, np.random.default_rng(n))
-        starts = solver._start_factors(psi, SolverConfig(n_starts=n_starts, rng_seed=n))
+        starts = _starts(psi, SolverConfig(n_starts=n_starts, rng_seed=n))
         sweeps = solver._EXTRAPOLATE_FROM + 5
         got = solver._batched_ascent(psi.amplitudes, starts.copy(), sweeps, 0.0)
         want = _reference_ascent(psi.amplitudes, starts.copy(), sweeps, 0.0)
@@ -825,7 +870,7 @@ class TestSweepWorkspace:
         # The sweeps run past _EXTRAPOLATE_FROM, whose step evaluates its
         # trial factors in the workspace's prefix buffers.
         psi = random_state(16, np.random.default_rng(16))
-        factors = solver._start_factors(psi, SolverConfig())
+        factors = _starts(psi, SolverConfig())
         sweeps = solver._EXTRAPOLATE_FROM + 2
         transients = []
         base = [0]
@@ -861,8 +906,8 @@ class TestRegisterSize:
         assert abs(pmax_alternating(w(13)).pmax - pmax_w(13).pmax) < 1e-9
 
     def test_start_budget_checked_before_allocating(self, monkeypatch):
-        # At tol = 1e-6 ghz(20) qualifies for the basis start alone, whose
-        # 2**20 amplitudes would fit the budget, but the check counts all 32.
+        # At tol = 1e-6 ghz(20)'s basis state certifies it, which would sweep
+        # nothing, but the check counts all 32 starts first.
         psi = ghz(20)
         cfg = SolverConfig(n_starts=32, tol=1e-6)
         assert 0.5 > solver._qubit0_bound(psi.amplitudes) - cfg.tol
@@ -918,9 +963,10 @@ class TestMonotoneAscent:
             ascent_history(ghz(3), start)
 
     def test_decrease_raises(self, monkeypatch):
+        # W3, since a GHZ state's basis state certifies it and nothing is swept.
         monkeypatch.setattr(solver, "_row_norms", _inflated_norms(solver._row_norms))
         with pytest.raises(MonotonicityError, match="decreased"):
-            pmax_alternating(ghz(3))
+            pmax_alternating(w(3))
 
     def test_decrease_raises_under_python_dash_o(self):
         # python -O strips assert statements; the check must survive it.
@@ -937,8 +983,8 @@ class TestMonotoneAscent:
 def _inflated_norms(real_norms):
     """Row norms scaled by 1e3, in the buffer the step divides by.  The
     starting overlap needs no norm, but every updated factor then has norm
-    1e-3, so the first sweep lowers the squared overlap of GHZ3 by a factor
-    of 1e18."""
+    1e-3, so the first sweep lowers the squared overlap of W3 by a factor of
+    1e18."""
 
     def inflated(v, *buffers):
         out = real_norms(v, *buffers)
@@ -950,12 +996,12 @@ def _inflated_norms(real_norms):
 
 _DECREASE_UNDER_DASH_O = f"""
 import sys
-from groverian import MonotonicityError, ghz, pmax_alternating, solver
+from groverian import MonotonicityError, pmax_alternating, solver, w
 {inspect.getsource(_inflated_norms)}
 solver._row_norms = _inflated_norms(solver._row_norms)
 print(f"optimize={{sys.flags.optimize}}")
 try:
-    pmax_alternating(ghz(3))
+    pmax_alternating(w(3))
 except MonotonicityError:
     print("raised")
 """

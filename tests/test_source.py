@@ -219,10 +219,9 @@ def test_ascent_leaves_early_only_through_may_stop():
 
 
 def test_starts_are_drawn_only_in_start_factors():
-    # solver._start_factors is the one start builder: the basis start alone
-    # and the full batch both come from it, after its real-plane check.  A
-    # draw named anywhere else would be a second builder that can drift from
-    # it.  _cached_draw wraps _draw.
+    # solver._start_factors is the one start builder.  A draw named anywhere
+    # else would be a second builder that can drift from it.  _cached_draw
+    # wraps _draw.
     draws = {"_draw", "_cached_draw"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -240,6 +239,22 @@ def test_starts_are_drawn_only_in_start_factors():
                 if name in draws and owner != "_start_factors" and (owner, name) != ("_cached_draw", "_draw"):
                     found.append((path.name, getattr(node, "lineno", top.lineno), name))
     assert found == [], f"start draws named outside solver._start_factors: {found}"
+
+
+def test_a_solve_sweeps_one_batch():
+    # pmax_alternating returns a certified basis state unswept and otherwise
+    # sweeps the full batch once.  A second _batched_ascent call, or a
+    # _start_factors that picks its own rows, would bring back a partial
+    # batch swept ahead of the full one.
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    calls = [
+        node.lineno for node in ast.walk(functions["pmax_alternating"])
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_batched_ascent"
+    ]
+    assert len(calls) == 1, f"solver.py: pmax_alternating calls _batched_ascent at lines {calls}"
+    params = [a.arg for a in functions["_start_factors"].args.args]
+    assert params == ["n", "x", "cfg"], f"solver.py: _start_factors takes {params}"
 
 
 def _finite_maxsize(call: ast.Call, constants: dict) -> bool:
