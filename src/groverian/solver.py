@@ -6,8 +6,9 @@ the remaining factor, so the normalized environment vector is the exact
 single-factor optimum.  Cycling through the factors therefore increases the
 squared overlap monotonically.  Because the landscape can hold several local
 maxima, the solver runs many starts; the first start is always the best
-computational basis state, which guarantees pmax >= max_x |a_x|**2 even with
-a single start.
+computational basis state, which guarantees pmax >= max_x |a_x|**2 up to
+rounding, even with a single start (by 2 ulp at tol = 1e-17 on
+gghz(3, a=sqrt(0.35)): 0.6499999999999999 against 0.6500000000000001).
 
 All starts are iterated together as one batched array, which keeps the result
 bit-identical regardless of scheduling and is dramatically faster than a
@@ -35,18 +36,18 @@ factor renormalized, and keeps it only where its squared overlap rises.  The
 trial is written over f_prev and evaluated by the sweep's own prefix chain.
 On Haar states at n = 8-10 it cut the sweeps to convergence about 2.3-fold.
 
-Two early stops end a solve before its slowest start converges, and both
-live in ``_may_stop``.  A batch of at least ``_STOP_MIN_STARTS`` starts stops
-once its leader, the start the tie rule picks, has converged and no start
-still climbing is estimated to pass it by more than ``tol``; a smaller batch
-does not stop this way.  Until the solve ends, a start that converged early
-to a local maximum far below the best would keep costing sweeps, so it is
-retired: once it has converged and sits more than max(1e-9, 1000 * tol)
-below the current best it is frozen and leaves the batch.  Rows of the batch
-do not interact, the best never falls, and a retired start never enters the
-early stops, so the result is bit-identical to sweeping every start until
-the stop, as long as no converged start would have climbed past the best
-afterwards (see ``_batched_ascent``).
+One early stop, the leader stop of ``_may_stop``, ends a solve before its
+slowest start converges.  A batch of at least ``_STOP_MIN_STARTS`` starts
+stops once its leader, the start the tie rule picks, has converged and no
+start still climbing is estimated to pass it by more than ``tol``; a smaller
+batch sweeps until its slowest start converges.  Until the solve ends, a
+start that converged early to a local maximum far below the best would keep
+costing sweeps, so it is retired: once it has converged and sits more than
+max(1e-9, 1000 * tol) below the current best it is frozen and leaves the
+batch.  Rows of the batch do not interact, the best never falls, and a
+retired start never enters the stop, so the result is bit-identical to
+sweeping every start until the stop, as long as no converged start would
+have climbed past the best afterwards (see ``_batched_ascent``).
 
 Every solve also has an upper bound, computed before any start: the largest
 squared Schmidt coefficient across qubit 0's cut, raised by a rounding
@@ -55,11 +56,8 @@ product states it is P_max.  Where the best basis weight alone is already
 above that bound less ``tol``, the basis state is within ``tol`` of P_max
 and is returned as it is, with no start drawn and no sweep run
 (``pmax_alternating``): on the benchmark's symmetric-small states that is
-every GHZ-type, Dicke(n, 0) and Dicke(n, n) solve.  Otherwise, once the
-leader has converged and its own value is at least the bound less ``tol``,
-no start can end more than ``tol`` above it and the solve stops, at any
-number of starts (the second stop of ``_may_stop``); local-unitary images of
-GHZ states reach it after a few sweeps.
+every GHZ-type, Dicke(n, 0) and Dicke(n, n) solve.  The sweeps never read
+the bound.
 """
 from __future__ import annotations
 
@@ -163,17 +161,16 @@ class PmaxResult:
     every factor before that sweep's extrapolation step, raised its squared
     overlap by less than ``tol``.  ``sweeps_used`` is the number of sweeps
     run, an extrapolating sweep counting as one: until every start
-    converged, one of the early stops of ``_may_stop`` held (the leader
-    stop, in batches of at least 32 starts, or the certified stop, once the
-    converged leader reached qubit 0's Schmidt bound less ``tol``), or
-    ``max_sweeps``.  Starts retired early, far below the best, ran fewer,
-    and starts still climbing at the stop never converged.  A solve that
-    the basis state certifies (see :func:`pmax_alternating`) sweeps nothing:
-    ``sweeps_used`` is 0, ``best_start`` 0, ``converged`` True and ``pmax``
-    the basis weight, as for GHZ states at n = 2-12 at the default tol.
-    ``converged`` says whether the best start converged, which it has
-    whenever an early stop ended the solve; ``pmax`` then follows the result
-    policy of ``_batched_ascent``.  It means only that one plain
+    converged, the leader stop of ``_may_stop`` held (in batches of at
+    least 32 starts), or ``max_sweeps``.  Starts retired early, far below
+    the best, ran fewer, and starts still climbing at the stop never
+    converged.  A solve that the basis state certifies (see
+    :func:`pmax_alternating`) sweeps nothing: ``sweeps_used`` is 0,
+    ``best_start`` 0, ``converged`` True and ``pmax`` the basis weight, as
+    for GHZ states at n = 2-12 at the default tol.  ``converged`` says
+    whether the best start converged, which it has whenever the leader stop
+    ended the solve; ``pmax`` then follows the result policy of
+    ``_batched_ascent``.  It means only that one plain
     sweep of that start gained less than ``tol``, not that the start is
     stationary: a converged start can still gain more than ``tol`` later.
     In a 7-start solve of ``random_state(7, default_rng(2197545828))`` at
@@ -216,8 +213,7 @@ def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> Pmax
     x = int(np.argmax(weights))
     weight = weights[x]
     del weights  # kept through the sweeps, it raised haar-large's peak RSS by 0.6 MB
-    bound = _qubit0_bound(psi.amplitudes)
-    if weight > bound - cfg.tol:
+    if weight > _qubit0_bound(psi.amplitudes) - cfg.tol:
         return PmaxResult(
             pmax=float(weight),
             optimizer=ProductState(tuple(_BASIS_FACTORS[b == "1"] for b in f"{x:0{n}b}")),
@@ -226,7 +222,7 @@ def pmax_alternating(psi: PureState, cfg: SolverConfig = SolverConfig()) -> Pmax
             best_start=0,
         )
     sq, factors, conv_at, sweeps = _batched_ascent(
-        psi.amplitudes, _start_factors(n, x, cfg), cfg.max_sweeps, cfg.tol, bound=bound
+        psi.amplitudes, _start_factors(n, x, cfg), cfg.max_sweeps, cfg.tol
     )
     best = int(np.argmax(sq >= sq.max() - cfg.tol))
     fixed = _phase_fixed(factors[best]).tolist()
@@ -372,9 +368,8 @@ def _batched_ascent(
     max_sweeps: int,
     tol: float,
     on_sweep=None,
-    bound: float = np.inf,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sweep all starts until an early stop holds or every start has
+    """Sweep all starts until the leader stop holds or every start has
     converged, a start converging once its per-sweep gain falls below tol.
 
     Returns (squared overlaps, factors, sweep index of convergence per start
@@ -406,14 +401,10 @@ def _batched_ascent(
     alone, before the step, so ``tol`` keeps its meaning: a row converges
     when one plain sweep raises it by less than ``tol``.
 
-    Early stops.  After each sweep in which some working start has
+    Leader stop.  After each sweep in which some working start has
     converged, :func:`_may_stop` decides whether the solve may end before
-    its slowest start converges, by the leader stop or the certified stop;
-    its docstring gives the conditions and why each is there, and it is the
-    only place the loop leaves early.  ``bound`` is an upper bound on every
-    start's squared overlap, which the certified stop reads:
-    :func:`pmax_alternating` passes :func:`_qubit0_bound`, and
-    ``ascent_history`` passes none.
+    its slowest start converges; its docstring gives the conditions and why
+    each is there, and it is the only place the loop leaves early.
 
     Result policy.  The step and the stop change results at rounding level,
     so results are not bit-equal to the loop without them, and the best
@@ -435,7 +426,7 @@ def _batched_ascent(
     working batch retires: its value, convergence sweep and factors are
     frozen and it leaves the batch, which is compacted, with the recent
     squared overlaps, only when a start retires.  The loop still stops when
-    an early stop holds, every start has converged or at ``max_sweeps``,
+    the leader stop holds, every start has converged or at ``max_sweeps``,
     so the sweeps executed and the convergence sweeps are those of the
     non-retiring loop, which sweeps every start until the stop.  On the
     benchmark's 15 reference states it cuts the rows swept through the qubit
@@ -450,7 +441,7 @@ def _batched_ascent(
     slack (1e-12), so a start retired more than ``margin`` below it ends more
     than ``margin`` less that slack below the final best, which is more than
     ``tol``: the tie rule (the lowest start within ``tol`` of the best) never
-    picks a retired start.  Nor do the early stops read one: a retired start
+    picks a retired start.  Nor does the leader stop read one: a retired start
     is never the leader and, converged, is not pending.  The result could
     differ only if a retired start, swept on, would have climbed past the
     best after converging.  Measured with the extrapolation step at the
@@ -470,7 +461,6 @@ def _batched_ascent(
     """
     n_starts = factors.shape[0]
     margin = max(_RETIRE_MARGIN, 1000.0 * tol)
-    certain = bound - tol  # a leader this high is within tol of every start's maximum
     ws = _Workspace(amplitudes[np.newaxis], factors)
     sq = ws.evaluate()  # the starting overlaps, by the sweep's own prefix chain
     if on_sweep is not None:
@@ -542,7 +532,7 @@ def _batched_ascent(
         if pending == len(rows):
             continue  # no working start has converged, so none leads or retires
         top = sq.max()
-        if _may_stop(recent, conv_at, tol, n_starts, top, certain):
+        if _may_stop(recent, conv_at, tol, n_starts, top):
             break
         retire = sq < top - margin
         retire &= conv_at >= 0
@@ -573,9 +563,8 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     at n = 3-10.  It is at least (p + q) / 2, so at least 1/2 for a unit psi.
 
     The margin makes rounding only withhold the basis shortcut of
-    :func:`pmax_alternating` or delay the certified stop of
-    :func:`_may_stop`, which compare the basis weight and the leader with
-    the bound less ``tol``.  The three sums each add 2N real products, so
+    :func:`pmax_alternating`, which compares the basis weight with the
+    bound less ``tol``.  The three sums each add 2N real products, so
     in whatever order BLAS takes them each part of a computed sum is within
     gamma_2N = 2Nu / (1 - 2Nu) of the sum of its products' moduli (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
@@ -589,13 +578,13 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     as computed above the exact bound less ``tol``, at every size the budget
     admits; products that underflow lose under 2**-1051 in all.
 
-    The margin grows with N, which limits the reach of both.  On a bound of
-    1/2 it exceeds the default tol of 1e-12 from n = 13 on, so neither the
-    basis weight nor a leader can reach the bound less ``tol`` there:
+    The margin grows with N, which limits the shortcut's reach.  On a bound
+    of 1/2 it exceeds the default tol of 1e-12 from n = 13 on, so no basis
+    weight can reach the bound less ``tol`` there:
     ``pmax_alternating(ghz(n))`` takes 0 sweeps at n = 11 and 12 but 3 at
     n = 13 and 14.  At tol = 1e-17 the margin, at least 11 eps of a bound of
-    at least 1/2, exceeds tol at every n, so a value would have to round
-    that far above the maximum, and no solve measured took either.
+    at least 1/2, exceeds tol at every n, so a weight would have to round
+    that far above the maximum, and no solve measured took the shortcut.
     """
     half = len(amplitudes) // 2
     a, b = amplitudes[:half], amplitudes[half:]
@@ -606,41 +595,24 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
 
 
 def _may_stop(
-    recent: list[np.ndarray], conv_at: np.ndarray, tol: float, n_starts: int,
-    top: float, certain: float,
+    recent: list[np.ndarray], conv_at: np.ndarray, tol: float, n_starts: int, top: float,
 ) -> bool:
     """Whether a solve may end before its slowest start converges: the one
-    implementation of the leader stop and the certified stop.
+    implementation of the leader stop.
 
     ``recent`` holds the working rows' squared overlaps after the last
     ``_STOP_WINDOW`` sweeps, oldest first (fewer early in a solve),
     ``conv_at`` their convergence sweeps, -1 for a pending row, ``n_starts``
-    the starts the solve began with, ``top`` the largest of the last values,
-    and ``certain`` an upper bound on every start's squared overlap less
-    ``tol`` (inf for none).  The leader is the tie-rule pick, the lowest row
-    within ``tol`` of ``top``.  Either stop needs the leader converged, so
-    that its value is the one returned.
+    the starts the solve began with, and ``top`` the largest of the last
+    values.  The leader is the tie-rule pick, the lowest row within ``tol``
+    of ``top``.
 
-    Certified stop, at any number of starts: the leader's own value is at
-    least ``certain``.  No start can then end more than ``tol`` above the
-    leader, and the tie rule keeps it, so the result is that of sweeping on
-    as long as no start below the leader by more than ``tol`` climbs back to
-    within ``tol`` of it, which held on every solve measured.  The test reads
-    the leader's value, not ``top``: a row a rounding step above the leader
-    may reach the bound while the leader does not.  On 1061 solves (the
-    benchmark's symmetric-small states, GHZ at n = 2-10, random states at
-    n = 3-6, the 15 reference states; tol 1e-12, 1e-8 and 1e-17; 1, 7 and
-    32 starts) ``pmax``, the optimizer bytes, ``best_start`` and
-    ``converged`` equal the solve without this stop, and ``sweeps_used``
-    fell on 300, none of them at tol 1e-17 or on a random state.  Most of
-    those are now certified by their basis state in :func:`pmax_alternating`
-    and never swept.
-
-    Leader stop, once the batch can settle: it began with at least
+    The stop waits until the batch can settle: it began with at least
     ``_STOP_MIN_STARTS`` starts, since in a smaller one the best basin may
     hold one start that crawls along a plateau, with shrinking gains, before
     it climbs past the leader, and ``recent`` holds ``_STOP_WINDOW`` values.
-    Then the solve stops when both of these hold:
+    Then the solve stops when the leader has converged, so that its value is
+    the one returned, and both of these hold:
 
     * the leader's estimated remaining climb is below ``tol / 2``, so a
       converged leader in a slow linear tail is swept on;
@@ -658,16 +630,11 @@ def _may_stop(
     extrapolated tails.  The estimates run only once the leader has
     converged.
     """
-    settles = n_starts >= _STOP_MIN_STARTS and len(recent) >= _STOP_WINDOW
-    if not settles and top < certain:  # the leader, within tol of top, is below it too
+    if n_starts < _STOP_MIN_STARTS or len(recent) < _STOP_WINDOW:
         return False
     sq = recent[-1]
     leader = int(np.argmax(sq >= top - tol))
     if conv_at[leader] < 0:
-        return False
-    if sq[leader] >= certain:
-        return True
-    if not settles:
         return False
     window = np.array(recent[-_STOP_WINDOW::2])  # sq_{t-6}, sq_{t-4}, sq_{t-2}, sq_t
     gains = window[1:] - window[:-1]  # G_{t-4}, G_{t-2}, G_t

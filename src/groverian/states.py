@@ -95,6 +95,11 @@ class SingleQubitState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "c1", complex(self.c1))
+        parts = (self.c0.real, self.c0.imag, self.c1.real, self.c1.imag)
+        if not all(map(math.isfinite, parts)):  # NaN would pass the norm check
+            raise ValueError(
+                f"single-qubit factor: entries must be finite, got ({self.c0!r}, {self.c1!r})"
+            )
         norm_sq = abs(self.c0) ** 2 + abs(self.c1) ** 2
         if abs(norm_sq - 1.0) > FACTOR_NORM_TOL:
             raise NormalizationError(

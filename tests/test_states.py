@@ -196,6 +196,15 @@ class TestValidationMessages:
             (lambda: PureState.normalized([0, 0]), "amplitudes: cannot normalize the zero vector"),
             (lambda: ProductState(()), "factors: need at least one single-qubit factor"),
             (lambda: RealAngles(()), "thetas: need at least one angle"),
+            # NaN fails no norm check: abs(nan - 1) > tol is False.
+            (
+                lambda: SingleQubitState(math.nan, 0),
+                "single-qubit factor: entries must be finite, got ((nan+0j), 0j)",
+            ),
+            (
+                lambda: SingleQubitState(1j * math.nan, 0),
+                "single-qubit factor: entries must be finite, got ((nan+nanj), 0j)",
+            ),
             (lambda: gghz(3, 1.5), "gghz: a must lie in [0, 1], got 1.5"),
             (
                 lambda: apply_single_qubit_unitary(ghz(3), 3, np.eye(2)),
@@ -216,8 +225,9 @@ class TestValidationMessages:
             ),
         ],
         ids=[
-            "normalize-zero", "empty-product", "empty-angles", "gghz-weight", "unitary-qubit",
-            "unitary-shape", "file-list", "file-no-amplitudes", "file-inf",
+            "normalize-zero", "empty-product", "empty-angles", "factor-nan", "factor-imag-nan",
+            "gghz-weight", "unitary-qubit", "unitary-shape", "file-list", "file-no-amplitudes",
+            "file-inf",
         ],
     )
     def test_message(self, call, message):
