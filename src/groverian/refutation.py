@@ -224,9 +224,11 @@ def constraint5_search(grid_resolution: int = 181, eps: float = 1e-8) -> Constra
     For fixed t3 the maximum of the amplitude over (t1, t2) is the top singular
     value max(|cos t3|, |sin t3|) of diag(cos t3, sin t3); ``true_max`` takes
     it over ``grid_resolution`` values of t3 on [-pi/2, pi/2], whose endpoints
-    attain the maximum; each t3 array must fit ``AMPLITUDE_BUDGET``.  Also
-    reports the minimum |hyperplane residual| of the term-maximizing family,
-    which is pi (see :func:`flawed_max_ghz`).
+    attain the maximum, where np.sin is exactly 1.0.  So ``true_max`` is
+    exactly 0.5 at every resolution: ``grid_resolution`` sets only the
+    search's time and memory, never its output.  Each t3 array must fit
+    ``AMPLITUDE_BUDGET``.  Also reports the minimum |hyperplane residual| of
+    the term-maximizing family, which is pi (see :func:`flawed_max_ghz`).
     """
     if grid_resolution < 9:
         raise ValueError(f"grid_resolution: must be >= 9, got {grid_resolution!r}")

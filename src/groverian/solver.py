@@ -76,6 +76,7 @@ from .states import (
     _check_budget,
     _check_same_size,
     _check_seed,
+    _top_schmidt_sq,
     batch_environment,
     batch_overlap,
 )
@@ -101,9 +102,15 @@ _STOP_WINDOW = 7  # squared overlaps kept per row: the leader stop reads three t
 _STOP_MIN_STARTS = 32  # smallest batch the leader stop may end early
 # Start draws kept for repeated configurations, and the largest one kept, in
 # factor entries: 32 draws of at most 64 KiB each.  That keeps the draw of
-# the default 32 starts at every register size the budget admits.
+# the default 32 starts at every register size the budget admits.  The grid
+# oracle keeps its factors by the same rule, up to resolution 2048.
 _DRAW_CACHE_SIZE = 32
 _DRAW_CACHE_ELEMENTS = 2**12
+_UFUNC_BUFSIZE = 256  # elements per numpy ufunc buffer during the sweeps
+# Grid points per block of pmax_gridsearch's closed-form step.  Its
+# temporaries then stay a few 64 KiB rows, so the peak is the contraction's
+# own arrays: 72 MB at n = 10 and resolution 6, against 148 MB in one block.
+_GRID_BLOCK = 2**13
 _BASIS_FACTORS = (SingleQubitState(1, 0), SingleQubitState(0, 1))  # |0> and |1>, phase-fixed
 
 
@@ -272,25 +279,58 @@ def pmax_gridsearch(psi: PureState, resolution: int) -> float:
     """Brute-force lower bound on pmax for real states.
 
     Maximizes :func:`objective_real` over ``resolution`` points on
-    [-pi/2, pi/2] per angle, except the last angle, where the amplitude
-    a0 cos(t) + a1 sin(t) has the exact largest square a0**2 + a1**2; so it is
-    never below the full resolution**n grid's maximum.  The largest array,
-    2 * resolution**(n-1) elements, must fit ``AMPLITUDE_BUDGET``.
+    [-pi/2, pi/2] for each of the first n - 2 angles, and exactly over the
+    last two.  At each grid point, psi contracted with the first n - 2
+    factors is a real 2 x 2 matrix B over the last two qubits, and the best
+    real product overlap with B is its top squared singular value, read off
+    B's rows by :func:`groverian.states._top_schmidt_sq`.  So the value is
+    never below the full resolution**n grid's maximum, and at n = 1
+    (a0**2 + a1**2) and n = 2 it is the exact real-plane maximum.  The
+    largest array, 4 * resolution**(n-2) values, must fit
+    ``AMPLITUDE_BUDGET``; that is checked before anything is allocated.
     """
     if resolution < 3:
         raise ValueError(f"resolution: must be >= 3, got {resolution!r}")
     n = psi.n_qubits
-    _check_budget(
-        2 * resolution ** (n - 1), "resolution", f"grid of 2 * {resolution}**{n - 1} values"
-    )
-    a = _real_amplitudes(psi).reshape((2,) * n)
-    c = _real_factors(np.linspace(-_HALF_PI, _HALF_PI, resolution))
-    for _ in range(n - 1):
-        a = np.tensordot(a, c, axes=([0], [1]))
-    # Axis 0 is now the last qubit.  At n = 1, a is still psi's read-only
-    # amplitudes, so it is squared into a new array.
-    sq = np.multiply(a, a, out=a if n > 1 else None)
-    return float(np.max(sq[0] + sq[1]))
+    if n > 2:
+        _check_budget(
+            4 * resolution ** (n - 2), "resolution", f"grid of 4 * {resolution}**{n - 2} values"
+        )
+    a = _real_amplitudes(psi)[0]
+    if n == 1:
+        return float(a[0] * a[0] + a[1] * a[1])
+    if n > 2:
+        build = _grid_factors if 2 * resolution > _DRAW_CACHE_ELEMENTS else _cached_grid_factors
+        grid = build(resolution)
+        # a holds the qubits not yet contracted, the next one leading, then
+        # one axis per grid angle so far; each 2-D product appends one.
+        for _ in range(n - 2):
+            a = np.dot(a.reshape(2, -1).T, grid)
+    a = a.reshape(4, -1)  # rows 00, 01, 10, 11 of the last two qubits
+    best = 0.0
+    for j in range(0, a.shape[1], _GRID_BLOCK):
+        b = a[:, j:j + _GRID_BLOCK]
+        cross = b[0] * b[2] + b[1] * b[3]
+        sq = np.multiply(b, b, out=b if n > 2 else None)  # at n = 2, b is psi's amplitudes
+        best = max(best, float(_top_schmidt_sq(sq[0] + sq[1], sq[2] + sq[3], cross * cross).max()))
+    return best
+
+
+def _grid_factors(resolution: int) -> np.ndarray:
+    """(2, resolution) real-plane factors of ``resolution`` angles evenly
+    spaced on [-pi/2, pi/2], endpoints included: cosines, then sines."""
+    return _real_factors(np.linspace(-_HALF_PI, _HALF_PI, resolution)).T
+
+
+@lru_cache(maxsize=_DRAW_CACHE_SIZE)
+def _cached_grid_factors(resolution: int) -> np.ndarray:
+    """:func:`_grid_factors`, kept read-only, since every caller shares the
+    array; :func:`pmax_gridsearch` builds a grid of more than
+    ``_DRAW_CACHE_ELEMENTS`` entries afresh, as :func:`_start_factors` does
+    a draw."""
+    grid = _grid_factors(resolution)
+    grid.flags.writeable = False
+    return grid
 
 
 def ascent_history(
@@ -474,77 +514,83 @@ def _batched_ascent(
     pending = n_starts  # working starts not yet converged
     recent = [sq]  # the working rows' squared overlaps after the last sweeps
     sweeps = 0
-    for sweep in range(1, max_sweeps + 1):
-        sweeps = sweep
-        extrapolate = sweep >= _EXTRAPOLATE_FROM
-        if extrapolate:
-            np.copyto(ws.trial, ws.factors)
-        # Factors k+1.. are not yet updated when qubit k is, so the suffix
-        # products of the previous sweep's factors serve the whole sweep.
-        for conj_k, tail_after, tail_k in ws.tail_steps:
-            np.multiply(conj_k, tail_after, tail_k)
-        env, v, scratch, left, right, norm, norm_re, floor, ok, ok_col = ws.buffers
-        for f_k, conj_k, tail, conj_row, lead, prefix in ws.steps:
-            np.matmul(lead, tail, env)
-            # A degenerate environment leaves its row's factor untouched.
-            np.greater(_row_norms(v, scratch, left, right, norm_re), floor, ok)
-            np.divide(v, norm, f_k, where=ok_col)
-            np.conjugate(f_k, conj_k)
-            np.matmul(conj_row, lead, prefix)
-        new_sq = np.abs(ws.overlap) ** 2
-        gain = new_sq - sq
-        if gain.min() < -_MONOTONE_SLACK:
-            raise MonotonicityError(
-                f"sweep {sweep}: squared overlap decreased by {float(-gain.min())!r}"
-            )
-        newly = np.abs(gain, gain) < tol
-        newly &= conv_at < 0
-        count = np.count_nonzero(newly)  # cheaper than any() on a few rows
-        if count:
-            conv_at[newly] = sweep
-            pending -= count
-        if extrapolate:
-            f, trial, conj = ws.factors, ws.trial, ws.conjugates
-            left, right, norm, norm_re = ws.trial_buffers
-            # g = f + alpha (f - f_prev), written over f_prev.  f and f_prev
-            # are unit vectors, so |g| >= (1 + alpha) - alpha = 1 and no
-            # trial factor degenerates.
-            np.subtract(f, trial, trial)
-            np.multiply(trial, sweep ** (1 / 3), trial)
-            np.add(f, trial, trial)
-            _row_norms(trial, conj, left, right, norm_re)
-            np.divide(trial, norm, trial)
-            # The sweep's own chain evaluates g from its conjugates, and the
-            # conjugates of the factors kept are taken again afterwards.
-            np.conjugate(trial, conj)
-            trial_sq = ws.evaluate()
-            better = trial_sq > new_sq
-            np.copyto(f, trial, where=better[:, np.newaxis])
-            np.conjugate(f, conj)
-            np.copyto(new_sq, trial_sq, where=better)
-        sq = new_sq
-        recent.append(sq)
-        del recent[:-_STOP_WINDOW]
-        if on_sweep is not None:
-            on_sweep(sq)
-        if pending == 0:
-            break
-        if pending == len(rows):
-            continue  # no working start has converged, so none leads or retires
-        top = sq.max()
-        if _may_stop(recent, conv_at, tol, n_starts, top):
-            break
-        retire = sq < top - margin
-        retire &= conv_at >= 0
-        if np.count_nonzero(retire):
-            gone = rows[retire]
-            sq_out[gone], conv_out[gone] = sq[retire], conv_at[retire]
-            factors_out[gone] = ws.factors[:, retire].swapaxes(0, 1)
-            keep = ~retire
-            rows, conv_at = rows[keep], conv_at[keep]
-            recent = [r[keep] for r in recent]
-            sq = recent[-1]
-            ws.compact(keep)
+    # The suffix products are broadcast multiplies, which numpy runs through
+    # its buffered ufunc loop with buffers allocated per call; a 256-element
+    # buffer in place of the default 8192 makes them faster at n >= 10 and
+    # changes no result bit.  errstate restores the caller's size on exit.
+    with np.errstate():
+        np.setbufsize(_UFUNC_BUFSIZE)
+        for sweep in range(1, max_sweeps + 1):
+            sweeps = sweep
+            extrapolate = sweep >= _EXTRAPOLATE_FROM
+            if extrapolate:
+                np.copyto(ws.trial, ws.factors)
+            # Factors k+1.. are not yet updated when qubit k is, so the suffix
+            # products of the previous sweep's factors serve the whole sweep.
+            for conj_k, tail_after, tail_k in ws.tail_steps:
+                np.multiply(conj_k, tail_after, tail_k)
+            env, v, scratch, left, right, norm, norm_re, floor, ok, ok_col = ws.buffers
+            for f_k, conj_k, tail, conj_row, lead, prefix in ws.steps:
+                np.matmul(lead, tail, env)
+                # A degenerate environment leaves its row's factor untouched.
+                np.greater(_row_norms(v, scratch, left, right, norm_re), floor, ok)
+                np.divide(v, norm, f_k, where=ok_col)
+                np.conjugate(f_k, conj_k)
+                np.matmul(conj_row, lead, prefix)
+            new_sq = np.abs(ws.overlap) ** 2
+            gain = new_sq - sq
+            if gain.min() < -_MONOTONE_SLACK:
+                raise MonotonicityError(
+                    f"sweep {sweep}: squared overlap decreased by {float(-gain.min())!r}"
+                )
+            newly = np.abs(gain, gain) < tol
+            newly &= conv_at < 0
+            count = np.count_nonzero(newly)  # cheaper than any() on a few rows
+            if count:
+                conv_at[newly] = sweep
+                pending -= count
+            if extrapolate:
+                f, trial, conj = ws.factors, ws.trial, ws.conjugates
+                left, right, norm, norm_re = ws.trial_buffers
+                # g = f + alpha (f - f_prev), written over f_prev.  f and f_prev
+                # are unit vectors, so |g| >= (1 + alpha) - alpha = 1 and no
+                # trial factor degenerates.
+                np.subtract(f, trial, trial)
+                np.multiply(trial, sweep ** (1 / 3), trial)
+                np.add(f, trial, trial)
+                _row_norms(trial, conj, left, right, norm_re)
+                np.divide(trial, norm, trial)
+                # The sweep's own chain evaluates g from its conjugates, and the
+                # conjugates of the factors kept are taken again afterwards.
+                np.conjugate(trial, conj)
+                trial_sq = ws.evaluate()
+                better = trial_sq > new_sq
+                np.copyto(f, trial, where=better[:, np.newaxis])
+                np.conjugate(f, conj)
+                np.copyto(new_sq, trial_sq, where=better)
+            sq = new_sq
+            recent.append(sq)
+            del recent[:-_STOP_WINDOW]
+            if on_sweep is not None:
+                on_sweep(sq)
+            if pending == 0:
+                break
+            if pending == len(rows):
+                continue  # no working start has converged, so none leads or retires
+            top = sq.max()
+            if _may_stop(recent, conv_at, tol, n_starts, top):
+                break
+            retire = sq < top - margin
+            retire &= conv_at >= 0
+            if np.count_nonzero(retire):
+                gone = rows[retire]
+                sq_out[gone], conv_out[gone] = sq[retire], conv_at[retire]
+                factors_out[gone] = ws.factors[:, retire].swapaxes(0, 1)
+                keep = ~retire
+                rows, conv_at = rows[keep], conv_at[keep]
+                recent = [r[keep] for r in recent]
+                sq = recent[-1]
+                ws.compact(keep)
     sq_out[rows], conv_out[rows] = sq, conv_at
     factors_out[rows] = ws.factors.swapaxes(0, 1)
     return sq_out, factors_out, conv_out, sweeps
@@ -559,8 +605,9 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     With a and b the halves of psi where qubit 0 is 0 and 1, the matrix is
     [[p, c], [conj(c), q]] with p = <a|a>, q = <b|b> and c = <a|b>, and its
     top eigenvalue is (p + q) / 2 + sqrt(((p - q) / 2)**2 + |c|**2): three
-    dot products of N = 2**(n-1) entries and a closed form, no SVD, 3-4 us
-    at n = 3-10.  It is at least (p + q) / 2, so at least 1/2 for a unit psi.
+    dot products of N = 2**(n-1) entries and the closed form
+    :func:`groverian.states._top_schmidt_sq`, no SVD, 3-4 us at n = 3-10.
+    It is at least (p + q) / 2, so at least 1/2 for a unit psi.
 
     The margin makes rounding only withhold the basis shortcut of
     :func:`pmax_alternating`, which compares the basis weight with the
@@ -572,7 +619,8 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     sqrt(2) gamma_2N (p + q) of the exact one in Frobenius norm, with p + q
     its trace; by Weyl's inequality its top eigenvalue, at least
     (p + q) / 2, moves by at most 2 sqrt(2) gamma_2N, about 2.83 N eps, of
-    itself.  The closed form's nine roundings lose at most 4.5u, and the
+    itself.  The closed form's nine roundings (|c|**2 formed from c's two
+    parts, and a correctly rounded square root) lose at most 4.5u, and the
     multiply by the margin and the subtraction of ``tol`` u each.  So the
     factor 1 + (3N + 8) eps, exact in binary, leaves the bound less ``tol``
     as computed above the exact bound less ``tol``, at every size the budget
@@ -590,8 +638,8 @@ def _qubit0_bound(amplitudes: np.ndarray) -> float:
     a, b = amplitudes[:half], amplitudes[half:]
     p, q = float(np.vdot(a, a).real), float(np.vdot(b, b).real)
     c = complex(np.vdot(a, b))
-    top = 0.5 * (p + q) + (0.25 * (p - q) ** 2 + c.real**2 + c.imag**2) ** 0.5
-    return top * (1.0 + (3 * half + 8) * 2.0**-52)
+    top = _top_schmidt_sq(p, q, c.real**2 + c.imag**2)
+    return float(top) * (1.0 + (3 * half + 8) * 2.0**-52)
 
 
 def _may_stop(

@@ -100,7 +100,8 @@ class SingleQubitState:
             raise ValueError(
                 f"single-qubit factor: entries must be finite, got ({self.c0!r}, {self.c1!r})"
             )
-        norm_sq = abs(self.c0) ** 2 + abs(self.c1) ** 2
+        # abs(c) ** 2 raises OverflowError where this gives inf, refused below.
+        norm_sq = abs(self.c0) * abs(self.c0) + abs(self.c1) * abs(self.c1)
         if abs(norm_sq - 1.0) > FACTOR_NORM_TOL:
             raise NormalizationError(
                 f"single-qubit factor: squared norm {norm_sq!r} is off unity by more than {FACTOR_NORM_TOL}"
@@ -439,13 +440,28 @@ def schmidt_pmax_2qubit(psi: PureState) -> float:
     """Largest squared Schmidt coefficient of a 2-qubit state.
 
     Independent of any iterative solver: the best product-state overlap of a
-    bipartite pure state is its top singular value, read off the reshaped
-    2x2 amplitude matrix.
+    bipartite pure state is the top singular value of the reshaped 2x2
+    amplitude matrix, whose square :func:`_top_schmidt_sq` reads off the
+    matrix's rows.
     """
     if psi.n_qubits != 2:
         raise ValueError(f"psi: expected 2 qubits, got {psi.n_qubits}")
-    s = np.linalg.svd(psi.amplitudes.reshape(2, 2), compute_uv=False)
-    return float(s[0] ** 2)
+    a, b = psi.amplitudes[:2], psi.amplitudes[2:]
+    c = complex(np.vdot(a, b))
+    return float(_top_schmidt_sq(np.vdot(a, a).real, np.vdot(b, b).real, c.real**2 + c.imag**2))
+
+
+def _top_schmidt_sq(p, q, cross_sq):
+    """Top eigenvalue of the Hermitian 2x2 matrix [[p, x], [conj(x), q]],
+    given ``cross_sq`` = |x|**2: (p + q) / 2 + sqrt(((p - q) / 2)**2 + |x|**2).
+
+    With p and q the squared norms of a 2x2 matrix's rows and x their inner
+    product, this is the matrix's largest squared singular value, the top
+    squared Schmidt coefficient of the two qubits it holds.  Takes floats
+    or arrays of one shape.  It rounds six times (the scalings by 0.5 and
+    0.25 are exact), besides the roundings that formed ``cross_sq``.
+    """
+    return 0.5 * (p + q) + np.sqrt(0.25 * (p - q) ** 2 + cross_sq)
 
 
 def permute_qubits(psi: PureState, perm: Sequence[int]) -> PureState:

@@ -139,7 +139,8 @@ class TestAlternating:
     def test_real_plane_loses_pmax_on_real_symmetric_states(self):
         # psi = the normalized sum of c[k] * dicke(n, k), c = rng.normal(size=n + 1),
         # 20 draws each at n = 3..8 of one default_rng(12): draw 6 at n = 8
-        # and draw 19 at n = 3, where the 201-point grid agrees.  Their full
+        # and draw 19 at n = 3, where the 201-point grid oracle comes within
+        # 6e-6 of the real-plane value (0.404073 against 0.404079).  Their full
         # optimizers are symmetric and complex.
         rng = np.random.default_rng(12)
         draws = {n: [rng.normal(size=n + 1) for _ in range(20)] for n in range(3, 9)}
@@ -150,7 +151,7 @@ class TestAlternating:
             factors = r.optimizer.factor_matrix()
             assert (round(r.pmax, 9), round(r_real, 9)) == (full, real)
             assert np.allclose(factors, factors[0]) and abs(factors[0, 1].imag) > 0.6
-        assert round(pmax_gridsearch(psi, 201), 6) == 0.404062
+        assert round(pmax_gridsearch(psi, 201), 6) == 0.404073
 
     def test_real_plane_rejects_complex_states(self):
         rng = np.random.default_rng(2)
@@ -1116,26 +1117,34 @@ class TestGridSearch:
             assert pmax_gridsearch(psi, 61) <= schmidt_pmax_2qubit(psi) + 1e-12
 
     def test_equals_the_maximum_of_the_squared_grid(self):
-        # n - 1 grid contractions, then the exact maximum over the last
-        # angle, a0**2 + a1**2, bit for bit; never below the full grid's
-        # max(a * a).  The n = 2 states with qubit 0 in |1> at resolution 571
-        # put the maximum in the last grid row (t0 = pi/2, tied with row 0).
+        # n - 2 grid contractions, then each 2 x 2 block's top squared
+        # singular value, within 1e-14 relative of an SVD reference; never
+        # below the full grid's max(a * a).  The n = 3 states with qubit 0 in
+        # |1> put the maximum in the last grid row (t0 = pi/2, tied with
+        # row 0).
         rng = np.random.default_rng(61)
         states = [ghz(3), w(3), dicke(3, 1), gghz(3, a=0.8), uniform(3), basis_state(3, 5)]
-        states += [random_state(n, rng, real=True) for n in (2, 3, 4) for _ in range(6)]
+        states += [random_state(n, rng, real=True) for n in (1, 2, 3, 4) for _ in range(6)]
         cases = [(psi, resolution) for resolution in (9, 21, 57, 61) for psi in states]
         rng = np.random.default_rng(571)
         for _ in range(20):
-            x, y = rng.standard_normal(2)
-            cases.append((PureState(np.array([0.0, 0.0, x, y]) / math.hypot(x, y)), 571))
+            x = rng.standard_normal(4)
+            cases.append((PureState(np.concatenate([np.zeros(4), x / np.linalg.norm(x)])), 61))
         for psi, resolution in cases:
+            n = psi.n_qubits
             thetas = np.linspace(-math.pi / 2, math.pi / 2, resolution)
             c = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-            a = psi.amplitudes.real.reshape((2,) * psi.n_qubits)
-            for _ in range(psi.n_qubits - 1):
-                a = np.tensordot(a, c, axes=([0], [1]))
+            a = psi.amplitudes.real.reshape((2,) * n)
             value = pmax_gridsearch(psi, resolution)
-            assert value == float(np.max(a[0] * a[0] + a[1] * a[1]))
+            if n == 1:
+                reference = float(a[0] ** 2 + a[1] ** 2)
+            else:
+                for _ in range(n - 2):
+                    a = np.tensordot(a, c, axes=([0], [1]))
+                blocks = np.moveaxis(a.reshape(2, 2, -1), -1, 0)
+                reference = float(np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0] ** 2))
+                a = np.tensordot(a, c, axes=([0], [1]))
+            assert abs(value - reference) <= 1e-14 * reference
             a = np.tensordot(a, c, axes=([0], [1]))
             squared = np.multiply(a, a, out=a)  # in place: 110 MB at n = 4, 61
             assert value >= float(np.max(squared)) - 1e-15
@@ -1160,18 +1169,27 @@ class TestGridSearch:
         full_grid_bytes = 41**4 * 8  # 22.6 MB; the blocked search peaks near 1.7 MB
         assert peak < full_grid_bytes / 8
 
+    def test_ten_qubits_fit_the_budget(self):
+        # The largest array is 4 * 6**8 = 6.7 M values, within the 2**24 budget.
+        psi = random_state(10, np.random.default_rng(10), real=True)
+        value = pmax_gridsearch(psi, 6)
+        real = pmax_alternating(psi, SolverConfig(restriction="real_plane")).pmax
+        assert float(np.max(psi.amplitudes.real**2)) - 1e-15 <= value <= real + 1e-12
+
     def test_guards(self):
         with pytest.raises(ValueError, match="resolution"):
             pmax_gridsearch(ghz(3), 2)
-        # 2 * 2897**2 values is the first grid at n = 3 above the budget.
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="budget"):
-                pmax_gridsearch(ghz(3), 2897)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # 4 * resolution**(n - 2) values: the first grids above the budget.
+        for n, resolution in ((3, 4_194_305), (4, 2049)):
+            assert 4 * (resolution - 1) ** (n - 2) <= 2**24 < 4 * resolution ** (n - 2)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="budget"):
+                    pmax_gridsearch(ghz(n), resolution)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="real"):
             pmax_gridsearch(random_state(2, rng), 21)

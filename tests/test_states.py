@@ -205,6 +205,15 @@ class TestValidationMessages:
                 lambda: SingleQubitState(1j * math.nan, 0),
                 "single-qubit factor: entries must be finite, got ((nan+nanj), 0j)",
             ),
+            # A finite entry whose square overflows gets the norm error.
+            (
+                lambda: SingleQubitState(1e200, 0),
+                "single-qubit factor: squared norm inf is off unity by more than 1e-12",
+            ),
+            (
+                lambda: SingleQubitState(1e200 + 1e200j, 0),
+                "single-qubit factor: squared norm inf is off unity by more than 1e-12",
+            ),
             (lambda: gghz(3, 1.5), "gghz: a must lie in [0, 1], got 1.5"),
             (
                 lambda: apply_single_qubit_unitary(ghz(3), 3, np.eye(2)),
@@ -226,8 +235,8 @@ class TestValidationMessages:
         ],
         ids=[
             "normalize-zero", "empty-product", "empty-angles", "factor-nan", "factor-imag-nan",
-            "gghz-weight", "unitary-qubit", "unitary-shape", "file-list", "file-no-amplitudes",
-            "file-inf",
+            "factor-overflow", "factor-complex-overflow", "gghz-weight", "unitary-qubit",
+            "unitary-shape", "file-list", "file-no-amplitudes", "file-inf",
         ],
     )
     def test_message(self, call, message):
@@ -401,6 +410,13 @@ class TestSchmidtPmax:
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError, match="2 qubits"):
             schmidt_pmax_2qubit(ghz(3))
+
+    def test_matches_the_top_singular_value(self):
+        rng = np.random.default_rng(200)
+        for _ in range(200):
+            psi = random_state(2, rng)
+            top = np.linalg.svd(psi.amplitudes.reshape(2, 2), compute_uv=False)[0] ** 2
+            assert abs(schmidt_pmax_2qubit(psi) - top) <= 1e-14 * top
 
 
 class TestUnitariesAndPermutations:
